@@ -6,21 +6,35 @@ It equals 1 for single-asset portfolios and grows as the portfolio spreads
 across imperfectly correlated assets, so maximizing it yields the most
 diversified long-only mix.
 
-Two independent solvers are provided: projected gradient ascent on the log
-ratio (the primary path) and an exact reformulation as a long-only
-minimum-variance problem on the correlation matrix (the cross-check path).
-``maximize_variety`` runs both and returns the better, which also guards the
-gradient path against poor local basins.
+Maximizing the ratio is the same problem as long-only minimum variance on
+the correlation matrix (Choueifaty & Coignard 2008), a convex QP with an
+exact finite solution.  One active-set solver finds it, and
+``optimize_variety`` certifies the result: the first-order residual of
+projected gradient ascent on the log ratio must stay within ``kkt_tol``.
+``brute_force_vr`` is an independent lattice oracle for small problems.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateDataError, ParameterError
+
+
+def _finite_square(sigma) -> np.ndarray:
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+        raise ParameterError("covariance must be a square matrix")
+    bad = np.argwhere(~np.isfinite(sigma))
+    if bad.size:
+        row, col = bad[0]
+        raise DegenerateDataError(
+            f"covariance entry ({row}, {col}) is not finite: "
+            f"{sigma[row, col]!r}")
+    return sigma
 
 
 @dataclass
@@ -31,18 +45,19 @@ class CovarianceInput:
     vols: np.ndarray
 
     def __post_init__(self):
-        self.sigma = np.asarray(self.sigma, dtype=float)
+        self.sigma = _finite_square(self.sigma)
         self.vols = np.asarray(self.vols, dtype=float)
-        if self.sigma.ndim != 2 or self.sigma.shape[0] != self.sigma.shape[1]:
-            raise ParameterError("covariance must be a square matrix")
         if self.vols.shape != (self.sigma.shape[0],):
             raise ParameterError("vols length must match covariance dimension")
+        bad = np.flatnonzero(~np.isfinite(self.vols))
+        if bad.size:
+            raise DegenerateDataError(
+                f"volatility of asset {bad[0]} is not finite: "
+                f"{self.vols[bad[0]]!r}")
 
     @classmethod
     def from_covariance(cls, sigma) -> CovarianceInput:
-        sigma = np.asarray(sigma, dtype=float)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-            raise ParameterError("covariance must be a square matrix")
+        sigma = _finite_square(sigma)
         scale = max(np.abs(sigma).max(), 1.0)
         if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
             raise ParameterError("covariance must be symmetric")
@@ -64,9 +79,14 @@ class CovarianceInput:
 
 @dataclass
 class WeightVector:
-    """Long-only weights on the unit simplex."""
+    """Long-only weights on the unit simplex.
+
+    ``steps`` counts the solver steps that produced the weights (0 when they
+    were not solved for).
+    """
 
     weights: np.ndarray
+    steps: int = field(default=0, compare=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -131,21 +151,11 @@ def project_simplex(v) -> WeightVector:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings of the projected-gradient search."""
+    """Acceptance threshold of the optimizer's first-order certificate."""
 
-    tol_vr: float = 1e-6
-    max_iter: int = 5000
-    n_starts: int = 10
-    seed: int = 0
     kkt_tol: float = 1e-5
 
     def __post_init__(self):
-        if not self.tol_vr > 0.0:
-            raise ParameterError(f"tol_vr must be positive, got {self.tol_vr}")
-        if self.max_iter < 1:
-            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.n_starts < 0:
-            raise ParameterError(f"n_starts must be >= 0, got {self.n_starts}")
         if not self.kkt_tol > 0.0:
             raise ParameterError(
                 f"kkt_tol must be positive, got {self.kkt_tol}")
@@ -161,203 +171,98 @@ class OptimizationResult:
     kkt_residual: float
 
 
-def _log_vr(w: np.ndarray, cov: CovarianceInput) -> float:
-    lin = float(w @ cov.vols)
-    quad = float(w @ cov.sigma @ w)
-    if lin <= 0.0 or quad <= 0.0:
-        raise DegenerateDataError(
-            "variety ratio undefined: non-positive volatility or variance")
-    return math.log(lin) - 0.5 * math.log(quad)
-
-
-def _log_vr_grad(w: np.ndarray, cov: CovarianceInput) -> np.ndarray:
-    lin = float(w @ cov.vols)
-    sig_w = cov.sigma @ w
-    quad = float(w @ sig_w)
-    return cov.vols / lin - sig_w / quad
-
-
-def _ascend(start: np.ndarray, cov: CovarianceInput,
-            cfg: OptimizerConfig) -> tuple[np.ndarray, int]:
-    """Projected gradient ascent with backtracking on the log variety ratio."""
-    w = start.copy()
-    value = _log_vr(w, cov)
-    step = 1.0
-    iterations = 0
-    for _ in range(cfg.max_iter):
-        iterations += 1
-        grad = _log_vr_grad(w, cov)
-        improved = False
-        trial_step = step
-        for _ in range(60):
-            candidate = _project(w + trial_step * grad)
-            move = candidate - w
-            gain = float(grad @ move)
-            if gain <= 0.0:
-                break
-            cand_value = _log_vr(candidate, cov)
-            if cand_value >= value + 1e-4 * gain:
-                improved = True
-                break
-            trial_step *= 0.5
-        if not improved:
-            break
-        step = min(trial_step * 2.0, 1e6)
-        delta = cand_value - value
-        w, value = candidate, cand_value
-        if delta < cfg.tol_vr * max(abs(value), 1.0) and \
-                np.abs(move).max() < cfg.tol_vr:
-            break
-    return w, iterations
-
-
 def _kkt_residual(w: np.ndarray, cov: CovarianceInput) -> float:
-    """Fixed-point defect of the projected-gradient map at ``w``."""
-    grad = _log_vr_grad(w, cov)
+    """Fixed-point defect of projected gradient ascent on the log ratio."""
+    sig_w = cov.sigma @ w
+    grad = cov.vols / float(w @ cov.vols) - sig_w / float(w @ sig_w)
     return float(np.abs(_project(w + grad) - w).max())
 
 
-def _polish_simplex_qp(z: np.ndarray, corr: np.ndarray) -> np.ndarray:
-    """Active-set refinement of ``min z' R z`` on the simplex.
+def _active_set(corr: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact minimizer of ``z' R z`` on the simplex, and the steps taken.
 
-    Gradient methods crawl on the nearly flat faces a spiked correlation
-    matrix produces, so the iterate they hand over can still carry a
-    noticeable stationarity defect.  Starting from that iterate's support,
-    solve the equality-constrained problem on the working support exactly
-    (``R_SS z_S`` proportional to ones), drop coordinates the solve turns
-    negative, and add off-support coordinates whose gradient undercuts the
-    multiplier.  Each accepted solve is an exact KKT candidate, so the walk
-    normally settles in a few steps; if it does not (degenerate faces can
-    cycle), the best feasible point seen is returned and the caller's
-    stationarity check keeps its say.
+    A primal active-set walk from the uniform full support.  Each step
+    minimizes over the current face through its KKT system
+    ``R_FF z_F = mu 1``, ``1' z_F = 1``, solved by least squares so that a
+    singular ``R`` (fewer observations than assets, duplicated assets)
+    still yields a face minimizer.  If that target leaves the simplex, the
+    iterate moves toward it until the first coordinate reaches zero, and
+    that coordinate leaves the face.  Otherwise the iterate takes the
+    target, and the lowest outside index whose gradient undercuts the
+    multiplier enters (Bland's rule, against cycling on degenerate faces).
+    A face minimizer with no such index is the global minimum.
     """
     m = corr.shape[0]
-    support = z > 0.0
-    if not support.any():
-        return z
-    best, best_val = z, float(z @ corr @ z)
-    for _ in range(4 * m + 16):
-        idx = np.flatnonzero(support)
-        try:
-            raw = np.linalg.solve(corr[np.ix_(idx, idx)], np.ones(idx.size))
-        except np.linalg.LinAlgError:
-            return best
-        total = raw.sum()
-        if total <= 0.0:
-            return best
-        z_sub = raw / total
-        if np.any(z_sub <= 0.0):
-            support[idx[np.argmin(z_sub)]] = False
-            if not support.any():
-                return best
+    z = np.full(m, 1.0 / m)
+    free = np.ones(m, dtype=bool)
+    cap = 8 * m + 16
+    for step in range(1, cap + 1):
+        idx = np.flatnonzero(free)
+        f = idx.size
+        kkt = np.ones((f + 1, f + 1))
+        kkt[:f, :f] = corr[np.ix_(idx, idx)]
+        kkt[f, f] = 0.0
+        rhs = np.zeros(f + 1)
+        rhs[f] = 1.0
+        target = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:f]
+        blocked = np.flatnonzero(target < 0.0)
+        if blocked.size:
+            current = z[idx]
+            shares = current[blocked] / (current[blocked] - target[blocked])
+            first = int(np.argmin(shares))
+            z[idx] = np.maximum(
+                current + shares[first] * (target - current), 0.0)
+            z[idx[blocked[first]]] = 0.0
+            free[idx[blocked[first]]] = False
             continue
-        candidate = np.zeros(m)
-        candidate[idx] = z_sub
-        value = float(candidate @ corr @ candidate)
-        if value < best_val:
-            best, best_val = candidate, value
-        gradient = 2.0 * (corr @ candidate)
-        multiplier = 2.0 * value
-        outside = np.flatnonzero(~support)
-        if outside.size == 0:
-            return candidate
-        slack = gradient[outside] - multiplier
-        worst = np.argmin(slack)
-        if slack[worst] >= -1e-12 * max(multiplier, 1.0):
-            return candidate
-        support[outside[worst]] = True
-    return best
+        z[idx] = target
+        gradient = corr @ z
+        multiplier = float(z @ gradient)
+        entering = np.flatnonzero(~free & (gradient < multiplier - 1e-12))
+        if entering.size == 0:
+            return z, step
+        free[entering[0]] = True
+    raise ConvergenceError(
+        f"active-set solve did not settle within {cap} steps",
+        iterate=z)
 
 
 def min_variance_variety_weights(cov) -> WeightVector:
-    """Cross-check solver via long-only minimum variance on correlations.
+    """Maximum-variety weights via long-only minimum variance on correlations.
 
     The variety ratio is scale invariant in the weights, so maximizing it on
     the simplex is equivalent to minimizing ``z' R z`` over the simplex in
     risk-unit coordinates ``z_i = w_i s_i / (w . s)`` where ``R`` is the
-    correlation matrix, then mapping back through ``w_i = z_i / s_i`` and
-    renormalizing.  The inner problem is a convex QP solved by accelerated
-    projected gradient with an exact Lipschitz step, then finished by an
-    exact active-set polish.
+    correlation matrix (Choueifaty & Coignard 2008), then mapping back
+    through ``w_i = z_i / s_i`` and renormalizing.  The inner convex QP is
+    solved exactly by an active-set walk; ``steps`` on the result counts
+    its steps.
     """
     cov = _as_cov(cov)
-    corr = cov.sigma / np.outer(cov.vols, cov.vols)
-    m = corr.shape[0]
-    lipschitz = 2.0 * float(np.linalg.eigvalsh(0.5 * (corr + corr.T)).max())
-    if lipschitz <= 0.0:
-        raise DegenerateDataError("correlation matrix has no positive mass")
-    step = 1.0 / lipschitz
-
-    def objective(point):
-        return float(point @ corr @ point)
-
-    z = np.full(m, 1.0 / m)
-    momentum = z.copy()
-    t_prev = 1.0
-    for sweep in range(20000):
-        z_next = _project(momentum - step * 2.0 * (corr @ momentum))
-        if objective(z_next) > objective(z):
-            # momentum overshot; restart acceleration from the last iterate
-            momentum, t_prev = z.copy(), 1.0
-            z_next = _project(z - step * 2.0 * (corr @ z))
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev))
-        momentum = z_next + ((t_prev - 1.0) / t_next) * (z_next - z)
-        z, t_prev = z_next, t_next
-        if sweep % 20 == 0:
-            fixed_point = _project(z - step * 2.0 * (corr @ z)) - z
-            if float(np.abs(fixed_point).max()) < 1e-13:
-                break
-    z = _polish_simplex_qp(z, corr)
+    z, steps = _active_set(cov.sigma / np.outer(cov.vols, cov.vols))
     w = z / cov.vols
-    total = w.sum()
-    if total <= 0.0:
-        raise DegenerateDataError("reformulated solution left the simplex")
-    return WeightVector(w / total)
+    return WeightVector(w / w.sum(), steps=steps)
 
 
 def optimize_variety(cov, config: OptimizerConfig | None = None) -> OptimizationResult:
-    """Maximize the variety ratio over the simplex; full diagnostics."""
+    """Maximize the variety ratio over the simplex; full diagnostics.
+
+    Raises ConvergenceError when the first-order residual of the solve
+    exceeds ``kkt_tol``.
+    """
     cov = _as_cov(cov)
     cfg = config or OptimizerConfig()
-    m = cov.sigma.shape[0]
-    rng = np.random.default_rng(cfg.seed)
-
-    starts = [np.full(m, 1.0 / m)]
-    for _ in range(cfg.n_starts):
-        starts.append(rng.dirichlet(np.ones(m)))
-
-    best_w = None
-    best_value = -np.inf
-    total_iterations = 0
-    for start in starts:
-        w, used = _ascend(start, cov, cfg)
-        total_iterations += used
-        value = variety_ratio(w, cov)
-        if value > best_value:
-            best_w, best_value = w, value
-
-    check = min_variance_variety_weights(cov)
-    check_value = variety_ratio(check, cov)
-    if check_value > best_value:
-        best_w, best_value = check.weights, check_value
-
-    residual = _kkt_residual(best_w, cov)
-    if residual > cfg.kkt_tol:
-        # one tighter polishing pass before giving up
-        polish = replace(cfg, tol_vr=cfg.tol_vr * 1e-4)
-        best_w, extra = _ascend(best_w, cov, polish)
-        total_iterations += extra
-        best_value = variety_ratio(best_w, cov)
-        residual = _kkt_residual(best_w, cov)
-    if residual > cfg.kkt_tol:
+    weights = min_variance_variety_weights(cov)
+    ratio = variety_ratio(weights, cov)
+    residual = _kkt_residual(weights.weights, cov)
+    if not residual <= cfg.kkt_tol:
         raise ConvergenceError(
             f"optimizer stopped with first-order residual {residual:.3e} "
             f"above tolerance {cfg.kkt_tol:.1e}",
-            residual=residual, iterate=best_w)
-    weights = WeightVector(_project(best_w))
+            residual=residual, iterate=weights.weights)
     weights.validate()
-    return OptimizationResult(weights=weights, variety_ratio=best_value,
-                              iterations=total_iterations,
+    return OptimizationResult(weights=weights, variety_ratio=ratio,
+                              iterations=weights.steps,
                               kkt_residual=residual)
 
 

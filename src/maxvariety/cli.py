@@ -8,7 +8,8 @@ and ``mc-order`` (Monte Carlo tally of selected model orders).
 Exit codes: 0 success, 1 usage or configuration error, 2 data/ingestion
 error, 3 numerical failure.  Every output file is written to a temporary
 name and renamed into place, so partial outputs are never left behind.
-Runs are deterministic for a fixed ``--seed``.
+Identical inputs give byte-identical outputs; ``synth`` and ``mc-order``,
+the only subcommands that draw random numbers, take them from ``--seed``.
 """
 
 from __future__ import annotations
@@ -133,9 +134,8 @@ def _clean_config(config: dict, args) -> CleanConfig:
                        **_merged(config, "clean", overrides))
 
 
-def _optimizer_config(config: dict, args) -> OptimizerConfig:
-    overrides = {"seed": getattr(args, "seed", None)}
-    return OptimizerConfig(**_merged(config, "optimizer", overrides))
+def _optimizer_config(config: dict) -> OptimizerConfig:
+    return OptimizerConfig(**config.get("optimizer", {}))
 
 
 def _model_spec(config: dict, args) -> FactorModelSpec:
@@ -194,7 +194,7 @@ def cmd_clean(args) -> None:
 def cmd_allocate(args) -> None:
     """Allocate from a returns CSV; write weights.csv and allocation.json."""
     config = _load_config(args.config)
-    opt_cfg = _optimizer_config(config, args)
+    opt_cfg = _optimizer_config(config)
     clean_cfg = _clean_config(config, args)
     panel = load_returns_csv(args.input)
     k_hat = None
@@ -272,7 +272,7 @@ def cmd_backtest(args) -> None:
     """Backtest a price CSV; write result.json, weights, wealth, turnover."""
     config = _load_config(args.config)
     clean_cfg = _clean_config(config, args)
-    opt_cfg = _optimizer_config(config, args)
+    opt_cfg = _optimizer_config(config)
     overrides = {"window_days": args.window_days,
                  "rebalance_days": args.rebalance_days,
                  "estimator": args.estimator,
@@ -295,7 +295,6 @@ def cmd_backtest(args) -> None:
             "rebalance_days": base_cfg.rebalance_days,
             "annualization_days": base_cfg.annualization_days,
             "estimators": estimators,
-            "optimizer_seed": base_cfg.optimizer.seed,
         },
         "results": {name: result.to_dict()
                     for name, result in results.items()},
@@ -410,6 +409,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_synth_flags(sub) -> None:
+    sub.add_argument("--seed", type=int, help="RNG seed")
     sub.add_argument("--m", type=int, help="asset count")
     sub.add_argument("--N", type=int, help="observation count")
     sub.add_argument("--K", type=int, help="true factor count")
@@ -439,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--seed", type=int, help="RNG seed")
     subs = parser.add_subparsers(dest="command", required=True)
 
     synth = subs.add_parser("synth", parents=[common],

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (DegenerateDataError, DegenerateSpectrumError,
                      InsufficientSamplesError, ParameterError)
 from .robust import (ScatterMatrix, TylerConfig, demean_rows, inv_sqrt,
-                     toeplitzify, tyler, _as_matrix, _check_panel)
+                     toeplitzify, tyler, _as_matrix, _check_panel, _sym_sqrt)
 
 CLIP_RULES = ("trace_preserving", "literal")
 
@@ -173,11 +173,6 @@ class CleaningReport:
             "clipped_eigenvalues": [float(v) for v in self.clipped_spectrum],
             "warnings": list(self.warnings),
         }
-
-
-def _sym_sqrt(a: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(a)
-    return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
 
 
 def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .panels import ReturnsPanel
+from .robust import _sym_sqrt
 
 
 @dataclass(frozen=True)
@@ -98,12 +99,6 @@ def gen_sphere_vector(m: int, rng: np.random.Generator) -> np.ndarray:
         norm = np.linalg.norm(g)
         if norm > 0.0:
             return g / norm
-
-
-def _sym_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric square root via eigendecomposition."""
-    vals, vecs = np.linalg.eigh(a)
-    return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
 
 
 def gen_panel(spec: FactorModelSpec) -> SyntheticPanel:

@@ -69,7 +69,7 @@ def load_returns_csv(path, orient: str = "columns") -> ReturnsPanel:
     """Read a panel written by :func:`save_returns_csv`.
 
     Raises :class:`IngestionError` naming the offending row and column when a
-    cell is missing or not numeric.
+    cell is missing, not numeric, or not finite (``nan``, ``inf``).
     """
     if orient not in ("columns", "rows"):
         raise ParameterError(f"unknown orient {orient!r}")
@@ -100,6 +100,12 @@ def load_returns_csv(path, orient: str = "columns") -> ReturnsPanel:
                 raise IngestionError(
                     f"{path}: row {r}, column {c} ({header[c - 1]!r}): "
                     f"not a number: {text!r}") from exc
+    bad = np.argwhere(~np.isfinite(cells))
+    if bad.size:
+        r, c = bad[0]
+        raise IngestionError(
+            f"{path}: row {r + 2}, column {c + 2} ({header[c + 1]!r}): "
+            f"not finite: {body[r][c + 1]!r}")
     if orient == "columns":
         return ReturnsPanel(cells.T, labels=header[1:], timestamps=keys)
     return ReturnsPanel(cells, labels=keys, timestamps=header[1:])

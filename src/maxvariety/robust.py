@@ -255,6 +255,12 @@ def toeplitzify(matrix, *, biased: bool = True) -> np.ndarray:
     return lag_means[idx]
 
 
+def _sym_sqrt(a: np.ndarray) -> np.ndarray:
+    """Symmetric square root via eigendecomposition."""
+    vals, vecs = np.linalg.eigh(a)
+    return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
+
+
 def inv_sqrt(scatter, eigen_floor: float = 1e-10) -> np.ndarray:
     """Inverse symmetric square root of a positive definite matrix.
 

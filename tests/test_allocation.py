@@ -7,10 +7,11 @@ import itertools
 import numpy as np
 import pytest
 
-from maxvariety import (CovarianceInput, DegenerateDataError, OptimizerConfig,
-                        ParameterError, WeightVector, brute_force_vr,
+from maxvariety import (ConvergenceError, CovarianceInput, DegenerateDataError,
+                        FactorModelSpec, OptimizerConfig, ParameterError,
+                        WeightVector, brute_force_vr, gen_panel,
                         maximize_variety, min_variance_variety_weights,
-                        optimize_variety, project_simplex, variety_ratio)
+                        optimize_variety, project_simplex, scm, variety_ratio)
 
 
 def _random_spd(m, rng, spread=3.0):
@@ -18,6 +19,14 @@ def _random_spd(m, rng, spread=3.0):
     sigma = b @ b.T + 0.5 * np.eye(m)
     scales = rng.uniform(1.0 / spread, spread, size=m)
     return sigma * np.outer(scales, scales)
+
+
+def _sampler_max(sigma, rng):
+    """Best variety ratio over 10 000 Dirichlet draws from the simplex."""
+    samples = rng.dirichlet(np.ones(sigma.shape[0]), size=10_000)
+    numer = samples @ np.sqrt(np.diag(sigma))
+    denom = np.sqrt(np.einsum("ij,jk,ik->i", samples, sigma, samples))
+    return (numer / denom).max()
 
 
 # ---------------------------------------------------------------- ratio
@@ -190,11 +199,7 @@ def test_optimizer_beats_corners_and_random_points():
         assert best >= variety_ratio(corner, sigma) - 1e-9
     # verification sampler: no random simplex point may beat the optimum
     # by more than the convergence tolerance
-    samples = rng.dirichlet(np.ones(6), size=10_000)
-    vols = np.sqrt(np.diag(sigma))
-    numer = samples @ vols
-    denom = np.sqrt(np.einsum("ij,jk,ik->i", samples, sigma, samples))
-    assert best >= (numer / denom).max() - 1e-6
+    assert best >= _sampler_max(sigma, rng) - 1e-6
 
 
 def test_optimizer_agrees_with_min_variance_form():
@@ -264,10 +269,45 @@ def test_optimizer_on_spiked_ill_conditioned_covariance():
     check = min_variance_variety_weights(sigma)
     assert result.variety_ratio == pytest.approx(
         variety_ratio(check, sigma), abs=1e-9)
-    samples = rng.dirichlet(np.ones(m), size=10_000)
-    numer = samples @ np.sqrt(np.diag(sigma))
-    denom = np.sqrt(np.einsum("ij,jk,ik->i", samples, sigma, samples))
-    assert result.variety_ratio >= (numer / denom).max()
+    assert result.variety_ratio >= _sampler_max(sigma, rng)
+
+
+def test_optimizer_on_scm_with_fewer_observations_than_assets():
+    # 40 assets, 20 observations: the SCM has rank 20, so every face that
+    # keeps more than 20 assets has a singular correlation block
+    returns = gen_panel(FactorModelSpec(m=40, N=20, K=0, rho=0.5, nu=1.0,
+                                        seed=0)).returns
+    sigma = scm(returns).values
+    assert np.linalg.matrix_rank(sigma) < 40
+    result = optimize_variety(sigma)
+    assert result.kkt_residual <= 1e-8
+    assert result.variety_ratio >= _sampler_max(sigma, np.random.default_rng(54))
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0])
+def test_optimizer_on_duplicated_asset(scale):
+    # a copy of asset 3 (or a scaled copy) makes the correlation matrix
+    # singular along the direction that trades one copy for the other
+    rng = np.random.default_rng(55)
+    returns = rng.standard_normal((10, 200))
+    returns = np.vstack([returns, scale * returns[3]])
+    sigma = scm(returns).values
+    result = optimize_variety(sigma)
+    assert result.kkt_residual <= 1e-8
+    assert result.variety_ratio >= _sampler_max(sigma, rng)
+
+
+def test_covariance_input_rejects_non_finite_entries():
+    sigma = np.eye(3)
+    sigma[2, 1] = sigma[1, 2] = np.nan
+    with pytest.raises(DegenerateDataError, match=r"\(1, 2\)"):
+        CovarianceInput.from_covariance(sigma)
+    with pytest.raises(DegenerateDataError, match=r"\(1, 2\)"):
+        CovarianceInput(sigma, np.ones(3))
+    with pytest.raises(DegenerateDataError, match="asset 0"):
+        CovarianceInput(np.eye(3), [np.inf, 1.0, 1.0])
+    with pytest.raises(DegenerateDataError):
+        optimize_variety(np.diag([1.0, np.inf]))
 
 
 def test_optimizer_deterministic():
@@ -286,13 +326,15 @@ def test_optimizer_rejects_zero_variance_asset():
 
 
 def test_optimizer_config_validation():
-    with pytest.raises(ParameterError):
-        OptimizerConfig(tol_vr=0.0)
-    with pytest.raises(ParameterError):
-        OptimizerConfig(max_iter=0)
-    with pytest.raises(ParameterError):
-        OptimizerConfig(n_starts=-1)
-    OptimizerConfig(n_starts=0)  # equal-weight start alone is allowed
+    for bad in (0.0, -1e-5, float("nan")):
+        with pytest.raises(ParameterError):
+            OptimizerConfig(kkt_tol=bad)
+    assert OptimizerConfig().kkt_tol == 1e-5
+    # a tolerance below the solve's rounding fails the certificate
+    sigma = _random_spd(6, np.random.default_rng(40))
+    with pytest.raises(ConvergenceError) as caught:
+        optimize_variety(sigma, OptimizerConfig(kkt_tol=1e-300))
+    assert caught.value.residual > 1e-300
 
 
 # ---------------------------------------------------------------- containers

@@ -82,10 +82,12 @@ def test_synth_reads_config_file(tmp_path):
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"synth": {"m": 5, "N": 25, "bogus": 1}}))
-    code = _run("synth", "--config", str(cfg), "--out", str(tmp_path))
-    assert code == 1
-    assert "bogus" in capsys.readouterr().err
+    for payload, key in (({"synth": {"m": 5, "N": 25, "bogus": 1}}, "bogus"),
+                         ({"optimizer": {"n_starts": 4}}, "n_starts")):
+        cfg.write_text(json.dumps(payload))
+        code = _run("synth", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1
+        assert key in capsys.readouterr().err
 
 
 def test_unknown_config_section_rejected(tmp_path, capsys):
@@ -192,6 +194,29 @@ def test_allocate_robust_estimator_reports_k_hat(tmp_path):
     assert payload["k_hat"] == 1
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_allocate_non_finite_cell_is_data_error(tmp_path, capsys, cell):
+    returns = _synth_returns(tmp_path, m=4, N=30, seed=14)
+    rows = list(csv.reader(open(returns)))
+    rows[3][2] = cell
+    with open(returns, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    code = _run("allocate", "--input", str(returns), "--estimator", "scm",
+                "--out", str(tmp_path / "alloc"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"row 4, column 3 ({rows[0][2]!r}): not finite: {cell!r}" in err
+    assert "Traceback" not in err
+
+
+def test_allocate_has_no_seed_flag(tmp_path, capsys):
+    returns = _synth_returns(tmp_path, m=4, N=30, seed=15)
+    code = _run("allocate", "--input", str(returns), "--seed", "1",
+                "--out", str(tmp_path / "alloc"))
+    assert code == 1
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_allocate_deterministic_json(tmp_path):
     returns = _synth_returns(tmp_path, m=4, N=80, seed=13)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -217,6 +242,7 @@ def test_backtest_compare_writes_aligned_outputs(tmp_path, capsys):
     result = json.loads((out / "result.json").read_text())
     assert set(result["results"]) == {"scm", "rmt_tyler_whitened"}
     assert result["config"]["window_days"] == 30
+    assert "optimizer_seed" not in result["config"]
     assert result["fill_counts"] == {label: 0 for label in labels}
 
     wealth_rows = list(csv.reader(open(out / "wealth.csv")))
