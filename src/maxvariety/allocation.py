@@ -236,10 +236,18 @@ def min_variance_variety_weights(cov) -> WeightVector:
     correlation matrix (Choueifaty & Coignard 2008), then mapping back
     through ``w_i = z_i / s_i`` and renormalizing.  The inner convex QP is
     solved exactly by an active-set walk; ``steps`` on the result counts
-    its steps.
+    its steps.  Raises DegenerateDataError when the minimum variance is zero
+    to rounding: the variety ratio is then unbounded on the simplex.
     """
     cov = _as_cov(cov)
-    z, steps = _active_set(cov.sigma / np.outer(cov.vols, cov.vols))
+    corr = cov.sigma / np.outer(cov.vols, cov.vols)
+    z, steps = _active_set(corr)
+    variance = float(z @ corr @ z)
+    if variance <= np.finfo(float).eps * np.abs(corr).max():
+        raise DegenerateDataError(
+            f"a long-only portfolio has zero variance (z'Rz = "
+            f"{variance:.1e} on the correlations), so the variety ratio "
+            f"is unbounded")
     w = z / cov.vols
     return WeightVector(w / w.sum(), steps=steps)
 

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import csv
 import datetime
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .allocation import OptimizerConfig, optimize_variety
 from .denoise import CleanConfig, clean_covariance
-from .errors import (IngestionError, InsufficientSamplesError, NumericalError,
-                     ParameterError)
+from .errors import (IngestionError, InsufficientSamplesError,
+                     MaxVarietyError, NumericalError, ParameterError)
 from .panels import ReturnsPanel
 from .robust import scm
 
@@ -51,9 +52,10 @@ def load_prices(path, missing_policy: str = "error") -> PricePanel:
     """Read a ``Date,<label>,...`` CSV of prices.
 
     Dates must be ISO formatted and strictly increasing; prices must be
-    positive.  Empty cells are errors under the default policy, or copied
-    from the previous date under ``forward_fill`` (leading gaps are always
-    errors).  Per-asset fill counts are kept on the returned panel.
+    finite and positive.  Empty cells are errors under the default policy,
+    or copied from the previous date under ``forward_fill`` (leading gaps
+    are always errors).  Per-asset fill counts are kept on the returned
+    panel.
     """
     if missing_policy not in MISSING_POLICIES:
         raise ParameterError(f"unknown missing policy {missing_policy!r}")
@@ -103,6 +105,10 @@ def load_prices(path, missing_policy: str = "error") -> PricePanel:
                 raise IngestionError(
                     f"{path}: row {r}, column {label!r}: "
                     f"not a number: {text!r}") from exc
+            if not math.isfinite(value):
+                raise IngestionError(
+                    f"{path}: row {r}, column {label!r}: "
+                    f"not finite: {text!r}")
             if value <= 0.0:
                 raise IngestionError(
                     f"{path}: row {r}, column {label!r}: "
@@ -305,7 +311,11 @@ def _split_benchmark(panel: PricePanel, label: str | None):
 
 def run_backtest(panel: PricePanel,
                  config: BacktestConfig | None = None) -> BacktestResult:
-    """Run the rolling estimate-allocate-hold loop over a price panel."""
+    """Run the rolling estimate-allocate-hold loop over a price panel.
+
+    A package error raised by the estimator or the optimizer propagates as
+    its own class, its message prefixed with ``rebalance <date>:``.
+    """
     cfg = config or BacktestConfig()
     panel, benchmark_prices = _split_benchmark(panel, cfg.benchmark)
     returns_panel = to_returns(panel)
@@ -328,16 +338,22 @@ def run_backtest(panel: PricePanel,
 
     previous_weights = np.zeros(m)
     for fit_start, decision, hold_end in schedule:
+        date = panel.dates[decision].isoformat()
         window = returns[:, fit_start:decision]
-        sigma, order = _estimate_covariance(window, cfg)
-        result = optimize_variety(sigma, cfg.optimizer)
+        try:
+            sigma, order = _estimate_covariance(window, cfg)
+            result = optimize_variety(sigma, cfg.optimizer)
+        except MaxVarietyError as exc:
+            # same class, so the CLI exit code is unchanged
+            exc.args = (f"rebalance {date}: {exc}",)
+            raise
         target = result.weights.weights
 
         weights_rows.append(target)
         turnovers.append(turnover(previous_weights, target))
         k_hats.append(order)
         ratios.append(result.variety_ratio)
-        rebalance_dates.append(panel.dates[decision].isoformat())
+        rebalance_dates.append(date)
         previous_weights = target
 
         positions = wealth_values[-1] * target

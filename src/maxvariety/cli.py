@@ -34,7 +34,10 @@ from .errors import (IngestionError, MaxVarietyError, NumericalError,
                      ParameterError, UsageError)
 from .market_model import FactorModelSpec, gen_panel
 from .panels import load_returns_csv, save_returns_csv
-from .robust import ScatterMatrix, TylerConfig, save_scatter_csv, scm, tyler
+# ``tyler`` is unused here but stays bound: the benchmark's trace hooks
+# ``maxvariety.cli.tyler`` and its tests require every hook target to exist.
+from .robust import (ScatterMatrix, TylerConfig, save_scatter_csv, scm,
+                     tyler)  # noqa: F401
 
 WORKERS_ENV = "MAXVARIETY_WORKERS"
 
@@ -327,12 +330,11 @@ def _order_counts(spec: FactorModelSpec, clean_cfg: CleanConfig) -> tuple[int, i
     cov_eigs = np.linalg.eigvalsh(cov)
     scm_k = int(np.count_nonzero(cov_eigs / cov_eigs.mean() > lam))
 
-    raw = tyler(returns, clean_cfg.tyler, demean=clean_cfg.demean).values
-    raw_eigs = np.linalg.eigvalsh(raw)
+    # the pipeline's first pass is the raw Tyler estimate, so reuse it
+    report = clean_covariance(returns, clean_cfg)
+    raw_eigs = np.linalg.eigvalsh(report.robust_scatter.values)
     tyler_k = int(np.count_nonzero(raw_eigs > lam))
-
-    whitened_k = clean_covariance(returns, clean_cfg).k_hat
-    return scm_k, tyler_k, whitened_k
+    return scm_k, tyler_k, report.k_hat
 
 
 def _mc_trial(payload) -> tuple[int, int, int]:

@@ -152,7 +152,12 @@ class CleanConfig:
 
 @dataclass
 class CleaningReport:
-    """Everything the cleaning pipeline decided and produced."""
+    """Everything the cleaning pipeline decided and produced.
+
+    ``robust_scatter`` is the first Tyler pass on the (demeaned) panel.  It
+    is kept for callers that need the raw robust estimate and stays out of
+    ``to_dict``.
+    """
 
     k_hat: int
     lambda_bar: float
@@ -161,6 +166,7 @@ class CleaningReport:
     spectrum: EigenSpectrum
     clipped_spectrum: np.ndarray
     denoised: np.ndarray
+    robust_scatter: ScatterMatrix
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -228,7 +234,8 @@ def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport
     return CleaningReport(k_hat=k_hat, lambda_bar=lambda_bar,
                           threshold=threshold, ratio_c=ratio_c,
                           spectrum=spectrum, clipped_spectrum=clipped,
-                          denoised=denoised, warnings=notes)
+                          denoised=denoised, robust_scatter=robust_scatter,
+                          warnings=notes)
 
 
 def save_eigenvalue_histogram(eigenvalues, path, bins: int = 60,

@@ -106,6 +106,12 @@ def _check_panel(panel) -> np.ndarray:
         raise ParameterError("panel must be a 2-d array (assets x samples)")
     if panel.shape[1] < 1:
         raise ParameterError("panel has no observations")
+    finite = np.isfinite(panel)
+    if not finite.all():
+        asset, obs = np.argwhere(~finite)[0]
+        raise DegenerateDataError(
+            f"panel entry (asset {asset}, observation {obs}) is not finite: "
+            f"{panel[asset, obs]!r}")
     return panel
 
 
@@ -150,18 +156,25 @@ class TylerConfig:
 
 
 def _tyler_step(panel: np.ndarray, current: np.ndarray) -> np.ndarray:
-    """One fixed-point sweep: reweight samples by their Mahalanobis norm."""
+    """One fixed-point sweep: reweight samples by their Mahalanobis norm.
+
+    With the Cholesky factor ``current = L L'``, the norm ``r' C^{-1} r`` of
+    a sample is the squared length of ``L^{-1} r``, so one m x m factor and
+    one matrix product give all N of them.
+    """
     m, n = panel.shape
     try:
-        solved = np.linalg.solve(current, panel)
+        factor = np.linalg.cholesky(current)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(
-            "scatter iterate became singular") from exc
-    quad = np.einsum("ij,ij->j", panel, solved)
+            "scatter iterate lost positive definiteness") from exc
+    white = np.linalg.inv(factor) @ panel
+    quad = np.einsum("ij,ij->j", white, white)
     if not np.all(quad > 0.0):
         raise SingularMatrixError(
             "scatter iterate lost positive definiteness")
-    update = (m / n) * ((panel / quad) @ panel.T)
+    scaled = panel / np.sqrt(quad)
+    update = (m / n) * (scaled @ scaled.T)
     return 0.5 * (update + update.T)
 
 
@@ -172,7 +185,10 @@ def tyler(panel, config: TylerConfig | None = None, *,
     Solves ``C = (m/N) * sum_t r_t r_t' / (r_t' C^{-1} r_t)`` by fixed-point
     iteration from the identity, renormalizing the trace to m after every
     sweep.  Per-sample scale factors cancel inside the quadratic form, so the
-    estimate ignores any heavy-tailed radial component of the data.
+    estimate ignores any heavy-tailed radial component of the data.  Each
+    sweep takes the quadratic forms from a Cholesky factor of the current
+    iterate; an iterate that is not positive definite raises
+    SingularMatrixError.
 
     The estimator assumes observations centered at zero.  Demeaning is off by
     default on purpose: subtracting a plug-in mean gives every small-norm
@@ -182,7 +198,8 @@ def tyler(panel, config: TylerConfig | None = None, *,
     per-asset means are believed material and whose observation norms stay
     well away from zero.
 
-    Requires strictly more observations than assets and no all-zero
+    Requires strictly more observations than assets, finite entries (a
+    non-finite one raises DegenerateDataError naming it) and no all-zero
     observation.  Raises ConvergenceError (carrying the last residual) if the
     relative Frobenius change is still above ``config.tol`` after
     ``config.max_iter`` sweeps.

@@ -284,6 +284,16 @@ def test_optimizer_on_scm_with_fewer_observations_than_assets():
     assert result.variety_ratio >= _sampler_max(sigma, np.random.default_rng(54))
 
 
+@pytest.mark.parametrize("m, n, seed", [(12, 4, 2), (36, 12, 0), (36, 12, 2)])
+def test_optimizer_on_zero_variance_portfolio(m, n, seed):
+    # so few observations that some long-only portfolio has zero variance:
+    # the variety ratio is unbounded and there is no maximizer to report
+    returns = gen_panel(FactorModelSpec(m=m, N=n, K=0, rho=0.5, nu=1.0,
+                                        seed=seed)).returns
+    with pytest.raises(DegenerateDataError, match="zero variance"):
+        optimize_variety(scm(returns).values)
+
+
 @pytest.mark.parametrize("scale", [1.0, 3.0])
 def test_optimizer_on_duplicated_asset(scale):
     # a copy of asset 3 (or a scaled copy) makes the correlation matrix

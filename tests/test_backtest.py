@@ -95,6 +95,12 @@ def test_load_prices_rejects_bad_number_and_nonpositive(tmp_path):
                   [["2024-01-02", -3.0]])
     with pytest.raises(IngestionError, match="non-positive"):
         load_prices(path)
+    for text in ("nan", "inf"):
+        _write_prices(path, ["Date", "AAA"],
+                      [["2024-01-02", 1.0], ["2024-01-03", text]])
+        with pytest.raises(IngestionError,
+                           match=f"row 3, column 'AAA': not finite: '{text}'"):
+            load_prices(path)
 
 
 def test_load_prices_missing_file():
@@ -246,6 +252,21 @@ def test_run_backtest_constant_prices_rejected_by_robust_estimator():
     with pytest.raises(DegenerateDataError, match="zero sample variance"):
         run_backtest(panel, _small_config(estimator="rmt_tyler_whitened",
                                           window_days=30))
+
+
+@pytest.mark.parametrize("estimator, cause", [
+    ("scm", "asset 0 has non-positive variance"),
+    ("rmt_tyler_whitened", "asset 0 has zero sample variance"),
+])
+def test_run_backtest_failure_names_its_rebalance(estimator, cause):
+    # asset 0 stops moving at price 40, so returns 40-69, the window of
+    # the rebalance on date 70, are the first window with no move in it
+    panel = _synthetic_prices(3, 91, seed=47)
+    panel.prices[0, 40:] = panel.prices[0, 40]
+    date = panel.dates[70].isoformat()
+    with pytest.raises(DegenerateDataError,
+                       match=f"^rebalance {date}: {cause}"):
+        run_backtest(panel, _small_config(estimator=estimator))
 
 
 def test_run_backtest_deterministic():

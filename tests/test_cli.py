@@ -9,7 +9,8 @@ import json
 import numpy as np
 import pytest
 
-from maxvariety import order_threshold
+from maxvariety import (FactorModelSpec, gen_panel, mp_upper_bound,
+                        order_threshold, tyler)
 from maxvariety.cli import WORKERS_ENV, main
 
 
@@ -300,6 +301,22 @@ def test_backtest_missing_price_file(tmp_path, capsys):
     assert "cannot read price file" in capsys.readouterr().err
 
 
+def test_backtest_non_finite_price_is_data_error(tmp_path, capsys):
+    prices = tmp_path / "prices.csv"
+    labels = _write_price_csv(prices, m=3, t=61)
+    rows = list(csv.reader(open(prices)))
+    rows[5][2] = "nan"
+    with open(prices, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    code = _run("backtest", "--prices", str(prices), "--estimator", "scm",
+                "--window-days", "30", "--rebalance-days", "5",
+                "--out", str(tmp_path / "bt"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"row 6, column {labels[1]!r}: not finite: 'nan'" in err
+    assert "Traceback" not in err
+
+
 def test_backtest_short_history_is_parameter_error(tmp_path, capsys):
     prices = tmp_path / "prices.csv"
     _write_price_csv(prices, m=2, t=25)
@@ -326,6 +343,12 @@ def test_backtest_deterministic_bytes(tmp_path):
 # ---------------------------------------------------------------- mc-order
 
 
+def _order_table(out):
+    rows = list(csv.reader(open(out / "order_frequencies.csv")))
+    assert rows[0] == ["k_hat", "scm", "tyler_raw", "tyler_whitened"]
+    return np.array([[int(v) for v in row] for row in rows[1:]])
+
+
 def test_mc_order_table(tmp_path, capsys):
     out = tmp_path / "mc"
     code = _run("mc-order", "--m", "20", "--N", "200", "--K", "1",
@@ -333,13 +356,32 @@ def test_mc_order_table(tmp_path, capsys):
                 "--trials", "3", "--seed", "0", "--no-demean",
                 "--out", str(out))
     assert code == 0
-    rows = list(csv.reader(open(out / "order_frequencies.csv")))
-    assert rows[0] == ["k_hat", "scm", "tyler_raw", "tyler_whitened"]
-    table = np.array([[int(v) for v in row] for row in rows[1:]])
+    table = _order_table(out)
     np.testing.assert_array_equal(table[:, 1:].sum(axis=0), [3, 3, 3])
     printed = capsys.readouterr().out
     assert "trials=3 (seeds 0..2)" in printed
     assert "tyler_whitened: mode k_hat=1" in printed
+
+    # the raw Tyler column against independent estimator calls; on these
+    # noise-only panels demeaning moves the raw count, so a first pass
+    # that ignored the flag would show
+    for demean in (False, True):
+        out = tmp_path / f"raw-{demean}"
+        code = _run("mc-order", "--m", "30", "--N", "200", "--K", "0",
+                    "--rho", "0.5", "--nu", "0.5", "--trials", "3",
+                    "--seed", "0", "--demean" if demean else "--no-demean",
+                    "--out", str(out))
+        assert code == 0
+        raw_orders = []
+        for seed in range(3):
+            spec = FactorModelSpec(m=30, N=200, K=0, rho=0.5, nu=0.5,
+                                   seed=seed)
+            raw = tyler(gen_panel(spec).returns, demean=demean).values
+            raw_orders.append(int(np.count_nonzero(
+                np.linalg.eigvalsh(raw) > mp_upper_bound(30 / 200))))
+        table = _order_table(out)
+        np.testing.assert_array_equal(
+            table[:, 2], np.bincount(raw_orders, minlength=table.shape[0]))
 
 
 def test_mc_order_requires_trials(tmp_path, capsys):

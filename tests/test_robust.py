@@ -10,9 +10,11 @@ from maxvariety import (ConvergenceError, DegenerateDataError,
                         EigenvalueFloorWarning, FactorModelSpec,
                         InsufficientSamplesError, ParameterError,
                         ScatterMatrix, SingularMatrixError, TylerConfig,
-                        fixed_point_residual, gen_panel, gen_toeplitz_scatter,
-                        inv_sqrt, load_scatter_csv, mp_upper_bound,
-                        save_scatter_csv, scm, toeplitzify, tyler, whiten)
+                        clean_covariance, fixed_point_residual, gen_panel,
+                        gen_toeplitz_scatter, inv_sqrt, load_scatter_csv,
+                        mp_upper_bound, save_scatter_csv, scm, toeplitzify,
+                        tyler, whiten)
+from maxvariety.robust import _tyler_step
 
 
 def _noise_panel(m, n, rho, nu, seed):
@@ -117,6 +119,45 @@ def test_tyler_rejects_zero_column():
     panel[:, 11] = 0.0
     with pytest.raises(DegenerateDataError, match="11"):
         tyler(panel)
+
+
+def _lu_tyler_step(panel, current):
+    # reference sweep: the quadratic forms from an LU solve with N
+    # right-hand sides
+    m, n = panel.shape
+    quad = np.einsum("ij,ij->j", panel, np.linalg.solve(current, panel))
+    update = (m / n) * ((panel / quad) @ panel.T)
+    return 0.5 * (update + update.T)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_tyler_step_matches_lu_reference(k):
+    returns = gen_panel(FactorModelSpec(m=20, N=200, K=k, rho=0.8, nu=0.5,
+                                        factor_snr=8.0, seed=k)).returns
+    fit = tyler(returns).values
+    for current in (np.eye(20), fit):
+        want = _lu_tyler_step(returns, current)
+        got = _tyler_step(returns, current)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_fixed_point_residual_rejects_indefinite_scatter():
+    rng = np.random.default_rng(9)
+    panel = rng.standard_normal((5, 40))
+    with pytest.raises(SingularMatrixError, match="positive definite"):
+        fixed_point_residual(panel, -np.eye(5))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("estimate", [tyler, scm, clean_covariance])
+def test_non_finite_panel_entry_rejected(estimate, value):
+    rng = np.random.default_rng(10)
+    panel = rng.standard_normal((4, 30))
+    panel[2, 17] = value
+    panel[3, 25] = value
+    with pytest.raises(DegenerateDataError,
+                       match=r"\(asset 2, observation 17\) is not finite"):
+        estimate(panel)
 
 
 def test_tyler_nonconvergence_carries_residual():
