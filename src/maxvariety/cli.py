@@ -131,8 +131,7 @@ def _tyler_config(config: dict, args) -> TylerConfig:
 
 def _clean_config(config: dict, args) -> CleanConfig:
     overrides = {"demean": getattr(args, "demean", None),
-                 "eigen_floor": getattr(args, "eigen_floor", None),
-                 "clip_rule": getattr(args, "clip_rule", None)}
+                 "eigen_floor": getattr(args, "eigen_floor", None)}
     return CleanConfig(tyler=_tyler_config(config, args),
                        **_merged(config, "clean", overrides))
 
@@ -429,9 +428,6 @@ def _add_clean_flags(sub) -> None:
                      help="fixed-point iteration cap")
     sub.add_argument("--eigen-floor", type=float, dest="eigen_floor",
                      help="relative eigenvalue floor before inversion")
-    sub.add_argument("--clip-rule", dest="clip_rule",
-                     choices=["trace_preserving", "literal"],
-                     help="noise-eigenvalue replacement rule")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,7 +2,9 @@
 
 The pipeline: estimate a robust scatter, rectify it toward the Toeplitz
 structure of the noise, whiten the panel with the rectified estimate, and
-re-estimate.  The whitened noise spectrum then follows the classic
+re-estimate.  The estimator is affine equivariant, so the re-estimate starts
+at the whitened first estimate, its fixed point, and one sweep certifies it.
+The whitened noise spectrum then follows the classic
 random-matrix bulk law with upper edge ``(1 + sqrt(m/N))**2``.  That edge is
 only the centre of the Tracy-Widom law of the largest noise eigenvalue, so
 thresholding at it raises a false alarm on about a sixth of noise-only
@@ -25,8 +27,6 @@ from .errors import (DegenerateDataError, DegenerateSpectrumError,
                      InsufficientSamplesError, ParameterError)
 from .robust import (ScatterMatrix, TylerConfig, demean_rows, inv_sqrt,
                      toeplitzify, tyler, _as_matrix, _check_panel, _sym_sqrt)
-
-CLIP_RULES = ("trace_preserving", "literal")
 
 # False-alarm level of the order test and the matching upper quantile of
 # the Tracy-Widom law TW1, i.e. P(TW1 > TW1_QUANTILE) = ORDER_ALPHA.
@@ -93,14 +93,11 @@ def select_order(spectrum, lambda_bar: float) -> int:
     return int(np.count_nonzero(eigvals > lambda_bar))
 
 
-def clip_spectrum(eigenvalues, k: int, *,
-                  rule: str = "trace_preserving") -> np.ndarray:
+def clip_spectrum(eigenvalues, k: int) -> np.ndarray:
     """Replace all but the top ``k`` eigenvalues by a common noise level.
 
-    ``trace_preserving`` (default) spreads the remaining trace uniformly,
-    so the total trace is unchanged.  ``literal`` instead spreads the mass of
-    the retained top-k eigenvalues over the clipped ones, which inflates the
-    trace; it is kept for comparison only.
+    The level spreads the remaining trace uniformly, so the total trace is
+    unchanged.
     """
     eigvals = np.asarray(eigenvalues, dtype=float)
     if eigvals.ndim != 1:
@@ -110,14 +107,9 @@ def clip_spectrum(eigenvalues, k: int, *,
     m = eigvals.size
     if not 0 <= k <= m:
         raise ParameterError(f"k must lie in [0, {m}], got {k}")
-    if rule not in CLIP_RULES:
-        raise ParameterError(f"unknown clip rule {rule!r}")
     if k == m:
         return eigvals.copy()
-    if rule == "trace_preserving":
-        level = (eigvals.sum() - eigvals[:k].sum()) / (m - k)
-    else:
-        level = eigvals[:k].sum() / (m - k)
+    level = (eigvals.sum() - eigvals[:k].sum()) / (m - k)
     if level <= 0.0:
         raise DegenerateSpectrumError(
             f"clipping produced a non-positive noise level {level!r}")
@@ -140,14 +132,11 @@ class CleanConfig:
     tyler: TylerConfig = TylerConfig()
     demean: bool = True
     eigen_floor: float = 1e-10
-    clip_rule: str = "trace_preserving"
 
     def __post_init__(self):
         if self.eigen_floor < 0.0:
             raise ParameterError(
                 f"eigen_floor must be >= 0, got {self.eigen_floor}")
-        if self.clip_rule not in CLIP_RULES:
-            raise ParameterError(f"unknown clip rule {self.clip_rule!r}")
 
 
 @dataclass
@@ -189,7 +178,10 @@ def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport
     Tracy-Widom ``threshold`` the order was selected at (alpha = 0.01,
     Johnstone 2001), and both the raw and clipped whitened spectra.  The
     paper-literal order at the bulk edge is
-    ``select_order(report.spectrum, report.lambda_bar)``.  Estimation errors
+    ``select_order(report.spectrum, report.lambda_bar)``.  The second Tyler
+    pass starts at ``W C1 W`` (``W`` the whitener, ``C1`` the first pass),
+    where affine equivariance puts its fixed point; its one sweep and its
+    tolerance test certify that start on the whitened data.  Estimation errors
     propagate; eigenvalue flooring is collected into the report's warnings.
     """
     cfg = config or CleanConfig()
@@ -214,7 +206,11 @@ def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport
         noise_scatter *= m / np.trace(noise_scatter)
         whitener = inv_sqrt(noise_scatter, cfg.eigen_floor)
         whitened = whitener @ work
-        whitened_scatter = tyler(whitened, cfg.tyler, demean=False)
+        # Affine equivariance puts pass 2's fixed point at the whitened pass
+        # 1 estimate; one sweep from there certifies it.
+        start = whitener @ robust_scatter.values @ whitener
+        whitened_scatter = tyler(whitened, cfg.tyler, demean=False,
+                                 start=0.5 * (start + start.T))
     notes.extend(str(w.message) for w in caught)
 
     spectrum = eigen_spectrum(whitened_scatter.values)
@@ -222,7 +218,7 @@ def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport
     lambda_bar = mp_upper_bound(ratio_c)
     threshold = order_threshold(m, n)
     k_hat = select_order(spectrum.eigenvalues, threshold)
-    clipped = clip_spectrum(spectrum.eigenvalues, k_hat, rule=cfg.clip_rule)
+    clipped = clip_spectrum(spectrum.eigenvalues, k_hat)
 
     cleaned_white = (spectrum.eigenvectors * clipped) @ spectrum.eigenvectors.T
     color = _sym_sqrt(noise_scatter)

@@ -178,17 +178,35 @@ def _tyler_step(panel: np.ndarray, current: np.ndarray) -> np.ndarray:
     return 0.5 * (update + update.T)
 
 
+def _check_start(start, m: int) -> np.ndarray:
+    start = np.asarray(start, dtype=float)
+    if start.shape != (m, m):
+        raise ParameterError(
+            f"start must be {m} x {m}, got shape {start.shape}")
+    if not np.isfinite(start).all():
+        raise ParameterError("start has a non-finite entry")
+    try:
+        np.linalg.cholesky(start)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("start is not positive definite") from exc
+    return start * (m / np.trace(start))
+
+
 def tyler(panel, config: TylerConfig | None = None, *,
-          demean: bool = False) -> ScatterMatrix:
+          demean: bool = False, start=None) -> ScatterMatrix:
     """Distribution-free scatter estimate, normalized to trace m.
 
     Solves ``C = (m/N) * sum_t r_t r_t' / (r_t' C^{-1} r_t)`` by fixed-point
-    iteration from the identity, renormalizing the trace to m after every
-    sweep.  Per-sample scale factors cancel inside the quadratic form, so the
-    estimate ignores any heavy-tailed radial component of the data.  Each
-    sweep takes the quadratic forms from a Cholesky factor of the current
-    iterate; an iterate that is not positive definite raises
-    SingularMatrixError.
+    iteration, renormalizing the trace to m after every sweep.  The iteration
+    starts from the identity, or from ``start`` (an m x m positive definite
+    matrix, scaled to trace m first) when one is given: a start at the fixed
+    point returns after one sweep, which certifies it.  A start of the wrong
+    shape or with a non-finite entry raises ParameterError; one that is not
+    positive definite raises SingularMatrixError.  Per-sample scale factors
+    cancel inside the quadratic form, so the estimate ignores any
+    heavy-tailed radial component of the data.  Each sweep takes the
+    quadratic forms from a Cholesky factor of the current iterate; an
+    iterate that is not positive definite raises SingularMatrixError.
 
     The estimator assumes observations centered at zero.  Demeaning is off by
     default on purpose: subtracting a plug-in mean gives every small-norm
@@ -218,7 +236,7 @@ def tyler(panel, config: TylerConfig | None = None, *,
         raise DegenerateDataError(
             f"observation {dead[0]} is identically zero")
 
-    current = np.eye(m)
+    current = np.eye(m) if start is None else _check_start(start, m)
     residual = np.inf
     for _ in range(cfg.max_iter):
         update = _tyler_step(panel, current)

@@ -84,7 +84,8 @@ def test_synth_reads_config_file(tmp_path):
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for payload, key in (({"synth": {"m": 5, "N": 25, "bogus": 1}}, "bogus"),
-                         ({"optimizer": {"n_starts": 4}}, "n_starts")):
+                         ({"optimizer": {"n_starts": 4}}, "n_starts"),
+                         ({"clean": {"clip_rule": "literal"}}, "clip_rule")):
         cfg.write_text(json.dumps(payload))
         code = _run("synth", "--config", str(cfg), "--out", str(tmp_path))
         assert code == 1

@@ -5,13 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import maxvariety.denoise as denoise
+import maxvariety.robust as robust
+
 from maxvariety import (CleanConfig, CleaningReport, DegenerateDataError,
                         DegenerateSpectrumError, EigenSpectrum,
                         FactorModelSpec, InsufficientSamplesError,
                         ParameterError, clean_covariance, clip_spectrum,
                         eigen_spectrum, gen_panel, mp_upper_bound,
                         order_threshold, save_eigenvalue_histogram, scm,
-                        select_order)
+                        select_order, tyler)
 
 
 # ---------------------------------------------------------------- bounds
@@ -121,21 +124,11 @@ def test_clip_spectrum_preserves_trace():
             assert np.ptp(clipped[k:]) == 0.0
 
 
-def test_clip_spectrum_literal_rule():
-    eigs = np.array([5.0, 1.0, 0.5, 0.5])
-    got = clip_spectrum(eigs, k=1, rule="literal")
-    # the literal rule spreads the kept mass, not the remainder
-    np.testing.assert_allclose(got, [5.0, 5.0 / 3.0, 5.0 / 3.0, 5.0 / 3.0])
-    assert got.sum() != pytest.approx(eigs.sum())
-
-
 def test_clip_spectrum_validation():
     with pytest.raises(ParameterError):
         clip_spectrum(np.array([1.0, 2.0]), k=0)  # not descending
     with pytest.raises(ParameterError):
         clip_spectrum(np.array([2.0, 1.0]), k=3)  # k out of range
-    with pytest.raises(ParameterError):
-        clip_spectrum(np.array([2.0, 1.0]), k=1, rule="midpoint")
 
 
 def test_clip_spectrum_degenerate_remainder():
@@ -201,6 +194,28 @@ def test_clean_covariance_beats_raw_counting():
     report = clean_covariance(panel.returns, CleanConfig(demean=False))
     assert raw_count >= 10
     assert report.k_hat <= 1
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_clean_covariance_second_pass_is_one_sweep(monkeypatch, k):
+    # pass 2 starts at the whitened pass-1 estimate, its fixed point by
+    # affine equivariance, so a single sweep certifies it
+    panel = gen_panel(FactorModelSpec(m=40, N=400, K=k, rho=0.8, nu=0.5,
+                                      factor_snr=10.0, seed=k)).returns
+    sweeps, passes = [], []
+    step = robust._tyler_step
+    monkeypatch.setattr(robust, "_tyler_step",
+                        lambda *args: sweeps.append(1) or step(*args))
+    monkeypatch.setattr(
+        denoise, "tyler",
+        lambda work, *args, **kw: passes.append((work, len(sweeps)))
+        or tyler(work, *args, **kw))
+    report = clean_covariance(panel, CleanConfig(demean=False))
+    assert len(passes) == 2
+    whitened, before_pass2 = passes[1]
+    assert len(sweeps) - before_pass2 == 1
+    want = np.linalg.eigvalsh(tyler(whitened).values)[::-1]
+    np.testing.assert_allclose(report.spectrum.eigenvalues, want, rtol=1e-6)
 
 
 def test_clean_covariance_needs_tall_panel():

@@ -5,6 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+import maxvariety.robust as robust
 
 from maxvariety import (ConvergenceError, DegenerateDataError,
                         EigenvalueFloorWarning, FactorModelSpec,
@@ -158,6 +162,50 @@ def test_non_finite_panel_entry_rejected(estimate, value):
     with pytest.raises(DegenerateDataError,
                        match=r"\(asset 2, observation 17\) is not finite"):
         estimate(panel)
+
+
+def test_tyler_start_validation():
+    rng = np.random.default_rng(11)
+    panel = rng.standard_normal((4, 40))
+    with pytest.raises(ParameterError, match="4 x 4"):
+        tyler(panel, start=np.eye(3))
+    nan_start = np.eye(4)
+    nan_start[1, 2] = np.nan
+    with pytest.raises(ParameterError, match="non-finite"):
+        tyler(panel, start=nan_start)
+    with pytest.raises(SingularMatrixError, match="start is not positive"):
+        tyler(panel, start=np.diag([3.0, 2.0, 1.0, -1.0]))
+
+
+def test_tyler_started_at_its_fixed_point_takes_one_sweep(monkeypatch):
+    panel = _noise_panel(20, 200, rho=0.6, nu=0.5, seed=12).returns
+    fit = tyler(panel).values
+    sweeps = []
+    step = robust._tyler_step
+    monkeypatch.setattr(robust, "_tyler_step",
+                        lambda *args: sweeps.append(1) or step(*args))
+    # the start's scale is irrelevant: it is put on trace m first
+    again = tyler(panel, start=3.0 * fit).values
+    assert len(sweeps) == 1
+    assert np.linalg.norm(again - fit) <= 1e-8 * np.linalg.norm(fit)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       mix=arrays(float, (6, 6), elements=st.floats(-1.0, 1.0)),
+       scales=arrays(float, 60, elements=st.floats(1e-3, 1e3)))
+def test_tyler_is_affine_equivariant(m, seed, mix, scales):
+    # tyler(A X D) = A tyler(X) A' up to scale, for invertible A and any
+    # positive per-observation scales D: the identity that lets the
+    # pipeline start its second pass at the whitened first-pass estimate
+    a = np.eye(m) + 0.5 * mix[:m, :m]
+    assume(np.linalg.cond(a) < 1e3)
+    panel = np.random.default_rng(seed).standard_normal((m, 10 * m))
+    cfg = TylerConfig(tol=1e-12, max_iter=2000)
+    got = tyler(a @ panel * scales[:10 * m], cfg).values
+    want = a @ tyler(panel, cfg).values @ a.T
+    want *= m / np.trace(want)
+    assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
 
 
 def test_tyler_nonconvergence_carries_residual():
