@@ -29,7 +29,7 @@ from .market_model import (FactorModelSpec, SyntheticPanel, gen_panel,
                            gen_toeplitz_scatter)
 from .panels import ReturnsPanel, load_returns_csv, save_returns_csv
 from .robust import (ScatterMatrix, TylerConfig, demean_rows,
-                     fixed_point_residual, inv_sqrt, load_scatter_csv,
-                     save_scatter_csv, scm, toeplitzify, tyler, whiten)
+                     fixed_point_residual, inv_sqrt, save_scatter_csv, scm,
+                     toeplitzify, tyler, whiten)
 
 __version__ = "0.1.0"

@@ -10,7 +10,6 @@ rebalance.  Wealth starts at 100 on the first rebalance date.
 
 from __future__ import annotations
 
-import csv
 import datetime
 import math
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ from .allocation import OptimizerConfig, optimize_variety
 from .denoise import CleanConfig, clean_covariance
 from .errors import (IngestionError, InsufficientSamplesError,
                      MaxVarietyError, NumericalError, ParameterError)
-from .panels import ReturnsPanel
+from .panels import ReturnsPanel, _csv_rows, _read_csv
 from .robust import scm
 
 ESTIMATORS = ("scm", "rmt_tyler_whitened")
@@ -55,27 +54,29 @@ def load_prices(path, missing_policy: str = "error") -> PricePanel:
     finite and positive.  Empty cells are errors under the default policy,
     or copied from the previous date under ``forward_fill`` (leading gaps
     are always errors).  Per-asset fill counts are kept on the returned
-    panel.
+    panel.  Blank lines are skipped but keep their number in error rows.
     """
     if missing_policy not in MISSING_POLICIES:
         raise ParameterError(f"unknown missing policy {missing_policy!r}")
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise IngestionError(f"cannot read price file {path}: {exc}") from exc
-    with fh:
-        rows = list(csv.reader(fh))
+    content, plain = _read_csv(path, "price", key=datetime.date.fromisoformat)
+    if plain is not None:
+        header, dates, cells = plain
+        if ((cells > 0.0).all()
+                and all(a < b for a, b in zip(dates, dates[1:]))):
+            return PricePanel(dates, np.ascontiguousarray(cells.T), header[1:],
+                              dict.fromkeys(header[1:], 0))
+    rows = _csv_rows(content, path)
     if not rows or len(rows[0]) < 2:
         raise IngestionError(f"{path}: missing header row with asset labels")
     labels = rows[0][1:]
-    body = [row for row in rows[1:] if row]
+    body = [(r, row) for r, row in enumerate(rows[1:], start=2) if row]
     if len(body) < 1:
         raise IngestionError(f"{path}: no price rows")
 
     dates: list[datetime.date] = []
     prices = np.empty((len(labels), len(body)))
     fill_counts = {label: 0 for label in labels}
-    for r, row in enumerate(body, start=2):
+    for r, row in body:
         if len(row) != len(labels) + 1:
             raise IngestionError(
                 f"{path}: row {r} has {len(row)} fields, "

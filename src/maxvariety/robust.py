@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConvergenceError, DegenerateDataError,
-                     EigenvalueFloorWarning, IngestionError,
-                     InsufficientSamplesError, ParameterError,
-                     SingularMatrixError)
+                     EigenvalueFloorWarning, InsufficientSamplesError,
+                     ParameterError, SingularMatrixError)
 
 NORMALIZATIONS = ("trace_m", "covariance_scale")
 
@@ -66,32 +65,6 @@ def save_scatter_csv(scatter: ScatterMatrix, path) -> None:
         writer.writerow([scatter.dim, scatter.normalization])
         for row in scatter.values:
             writer.writerow([repr(float(v)) for v in row])
-
-
-def load_scatter_csv(path) -> ScatterMatrix:
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise IngestionError(f"cannot read scatter file {path}: {exc}") from exc
-    with fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise IngestionError(f"{path}: empty scatter file")
-    header = rows[0]
-    if len(header) != 2:
-        raise IngestionError(f"{path}: malformed scatter header {header!r}")
-    try:
-        dim = int(header[0])
-    except ValueError as exc:
-        raise IngestionError(f"{path}: bad dimension {header[0]!r}") from exc
-    if len(rows) - 1 != dim:
-        raise IngestionError(
-            f"{path}: header says {dim} rows, found {len(rows) - 1}")
-    try:
-        values = np.array([[float(v) for v in row] for row in rows[1:]])
-    except ValueError as exc:
-        raise IngestionError(f"{path}: non-numeric entry: {exc}") from exc
-    return ScatterMatrix(values, normalization=header[1])
 
 
 def _as_matrix(scatter) -> np.ndarray:

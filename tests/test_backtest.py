@@ -103,6 +103,15 @@ def test_load_prices_rejects_bad_number_and_nonpositive(tmp_path):
             load_prices(path)
 
 
+def test_load_prices_rows_numbered_by_file_line(tmp_path):
+    path = tmp_path / "prices.csv"
+    path.write_text("Date,AAA\n2024-01-02,1.0\n\n2024-01-03,2.0\n"
+                    "2024-01-04,abc\n")
+    with pytest.raises(IngestionError,
+                       match="row 5, column 'AAA': not a number: 'abc'"):
+        load_prices(path)
+
+
 def test_load_prices_missing_file():
     with pytest.raises(IngestionError):
         load_prices("/nonexistent/prices.csv")

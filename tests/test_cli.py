@@ -162,6 +162,26 @@ def test_clean_missing_input_is_data_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("defect", ["non_utf8", "long_field"])
+@pytest.mark.parametrize("command", ["clean", "backtest"])
+def test_undecodable_or_oversized_csv_is_data_error(tmp_path, capsys,
+                                                    command, defect):
+    path = tmp_path / "input.csv"
+    _write_price_csv(path, m=3, t=61)
+    text = path.read_bytes()
+    if defect == "non_utf8":
+        text = text.replace(b"A001", b"A\xff01", 1)
+    else:
+        text += b"2019-08-03,1." + b"0" * 140_000 + b",1.0,1.0\r\n"
+    path.write_bytes(text)
+    flag = "--input" if command == "clean" else "--prices"
+    code = _run(command, flag, str(path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(path) in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------- allocate
 
 

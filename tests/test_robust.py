@@ -15,9 +15,8 @@ from maxvariety import (ConvergenceError, DegenerateDataError,
                         InsufficientSamplesError, ParameterError,
                         ScatterMatrix, SingularMatrixError, TylerConfig,
                         clean_covariance, fixed_point_residual, gen_panel,
-                        gen_toeplitz_scatter, inv_sqrt, load_scatter_csv,
-                        mp_upper_bound, save_scatter_csv, scm, toeplitzify,
-                        tyler, whiten)
+                        gen_toeplitz_scatter, inv_sqrt, mp_upper_bound, scm,
+                        toeplitzify, tyler, whiten)
 from maxvariety.robust import _tyler_step
 
 
@@ -393,14 +392,3 @@ def test_scatter_matrix_validate():
 def test_scatter_matrix_unknown_tag():
     with pytest.raises(ParameterError):
         ScatterMatrix(np.eye(2), normalization="whatever")
-
-
-def test_scatter_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(17)
-    b = rng.standard_normal((4, 4))
-    scatter = ScatterMatrix(b @ b.T)
-    path = tmp_path / "scatter.csv"
-    save_scatter_csv(scatter, path)
-    loaded = load_scatter_csv(path)
-    np.testing.assert_array_equal(loaded.values, scatter.values)
-    assert loaded.normalization == scatter.normalization
