@@ -9,9 +9,9 @@ A rolling backtest engine and a CLI wrap the pipeline end to end.
 """
 
 from .allocation import (CovarianceInput, OptimizationResult, OptimizerConfig,
-                         WeightVector, brute_force_vr, maximize_variety,
+                         WeightVector, maximize_variety,
                          min_variance_variety_weights, optimize_variety,
-                         project_simplex, variety_ratio)
+                         variety_ratio)
 from .backtest import (BacktestConfig, BacktestResult, PerfStats, PricePanel,
                        load_prices, perf_stats, rolling_schedule, run_backtest,
                        to_returns, turnover)
@@ -30,6 +30,6 @@ from .market_model import (FactorModelSpec, SyntheticPanel, gen_panel,
 from .panels import ReturnsPanel, load_returns_csv, save_returns_csv
 from .robust import (ScatterMatrix, TylerConfig, demean_rows,
                      fixed_point_residual, inv_sqrt, save_scatter_csv, scm,
-                     toeplitzify, tyler, whiten)
+                     toeplitzify, tyler)
 
 __version__ = "0.1.0"

@@ -11,7 +11,6 @@ the correlation matrix (Choueifaty & Coignard 2008), a convex QP with an
 exact finite solution.  One active-set solver finds it, and
 ``optimize_variety`` certifies the result: the first-order residual of
 projected gradient ascent on the log ratio must stay within ``kkt_tol``.
-``brute_force_vr`` is an independent lattice oracle for small problems.
 """
 
 from __future__ import annotations
@@ -67,14 +66,6 @@ class CovarianceInput:
             raise DegenerateDataError(
                 f"asset {bad[0]} has non-positive variance")
         return cls(sigma, np.sqrt(diag))
-
-    def validate(self, tol: float = 1e-10) -> None:
-        drift = np.abs(self.vols ** 2 - np.diag(self.sigma)).max()
-        scale = max(np.diag(self.sigma).max(), 1.0)
-        if drift > tol * scale:
-            raise ParameterError(
-                f"vols inconsistent with covariance diagonal "
-                f"(max drift {drift:.3e})")
 
 
 @dataclass
@@ -136,17 +127,13 @@ def _project(v: np.ndarray) -> np.ndarray:
     cumulative = np.cumsum(u) - 1.0
     ranks = np.arange(1, v.size + 1)
     feasible = np.flatnonzero(u - cumulative / ranks > 0.0)
-    pivot = feasible[-1]
+    # index 0 always qualifies in exact arithmetic, but rounding drops it
+    # when the entries dwarf 1, and a NaN entry matches nothing; the
+    # projection from pivot 0 is then far from ``v``, and the certificate
+    # fails instead of raising IndexError
+    pivot = feasible[-1] if feasible.size else 0
     theta = cumulative[pivot] / (pivot + 1.0)
     return np.maximum(v - theta, 0.0)
-
-
-def project_simplex(v) -> WeightVector:
-    """Closest point of the unit simplex to ``v`` in Euclidean distance."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ParameterError("project_simplex expects a non-empty vector")
-    return WeightVector(_project(v))
 
 
 @dataclass(frozen=True)
@@ -277,62 +264,3 @@ def optimize_variety(cov, config: OptimizerConfig | None = None) -> Optimization
 def maximize_variety(cov, config: OptimizerConfig | None = None) -> WeightVector:
     """Long-only weights with the highest variety ratio."""
     return optimize_variety(cov, config).weights
-
-
-def _lattice_blocks(m: int, ticks: int):
-    """Yield integer composition blocks of ``ticks`` into ``m`` parts."""
-    if m == 1:
-        yield np.array([[ticks]])
-        return
-    if m == 2:
-        first = np.arange(ticks + 1)
-        yield np.column_stack([first, ticks - first])
-        return
-    if m == 3:
-        for first in range(ticks + 1):
-            second = np.arange(ticks - first + 1)
-            block = np.column_stack([
-                np.full(second.size, first), second, ticks - first - second])
-            yield block
-        return
-    for first in range(ticks + 1):
-        for second in range(ticks - first + 1):
-            third = np.arange(ticks - first - second + 1)
-            yield np.column_stack([
-                np.full(third.size, first), np.full(third.size, second),
-                third, ticks - first - second - third])
-
-
-def brute_force_vr(cov, step: float) -> WeightVector:
-    """Best simplex lattice point at the given spacing; small m only."""
-    cov = _as_cov(cov)
-    m = cov.sigma.shape[0]
-    if m > 4:
-        raise ParameterError(
-            f"exhaustive search supports at most 4 assets, got {m}")
-    if not 0.0 < step <= 1.0:
-        raise ParameterError(f"step must lie in (0, 1], got {step}")
-    ticks = round(1.0 / step)
-    n_points = math.comb(ticks + m - 1, m - 1)
-    if n_points > 20_000_000:
-        raise ParameterError(
-            f"grid of {n_points} points is too large; coarsen the step")
-
-    best_w = None
-    best_value = -np.inf
-    for block in _lattice_blocks(m, ticks):
-        grid = block.astype(float) / ticks
-        lin = grid @ cov.vols
-        quad = np.einsum("ij,jk,ik->i", grid, cov.sigma, grid)
-        valid = quad > 0.0
-        if not np.any(valid):
-            continue
-        ratios = np.where(valid, lin / np.sqrt(np.where(valid, quad, 1.0)),
-                          -np.inf)
-        top = int(np.argmax(ratios))
-        if ratios[top] > best_value:
-            best_value = float(ratios[top])
-            best_w = grid[top].copy()
-    if best_w is None:
-        raise DegenerateDataError("no lattice point had positive variance")
-    return WeightVector(best_w)

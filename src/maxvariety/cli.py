@@ -20,7 +20,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -39,22 +38,31 @@ from .panels import load_returns_csv, save_returns_csv
 from .robust import (ScatterMatrix, TylerConfig, save_scatter_csv, scm,
                      tyler)  # noqa: F401
 
-WORKERS_ENV = "MAXVARIETY_WORKERS"
+# The JSON value types each field annotation accepts.  json.loads gives
+# exact built-in types, so matching the type exactly keeps true and false
+# (bool is a subclass of int) out of the numeric fields.
+_JSON_TYPES = {"int": ((int,), "an integer"),
+               "float": ((int, float), "a number"),
+               "bool": ((bool,), "true or false"),
+               "str": ((str,), "a string"),
+               "str | None": ((str, type(None)), "a string or null")}
 
-_SECTION_CLASSES = {
-    "synth": FactorModelSpec,
-    "tyler": TylerConfig,
-    "clean": CleanConfig,
-    "optimizer": OptimizerConfig,
-    "backtest": BacktestConfig,
-    "mc_order": None,  # plain keys, validated below
+
+def _field_types(cls, nested=()) -> dict[str, str]:
+    return {f.name: f.type for f in dataclasses.fields(cls)
+            if f.name not in nested}
+
+
+# Each config section's keys and their annotated types; a nested config is
+# a section of its own.
+_SECTION_KEYS = {
+    "synth": _field_types(FactorModelSpec),
+    "tyler": _field_types(TylerConfig),
+    "clean": _field_types(CleanConfig, nested=("tyler",)),
+    "optimizer": _field_types(OptimizerConfig),
+    "backtest": _field_types(BacktestConfig, nested=("clean", "optimizer")),
+    "mc_order": {"trials": "int"},
 }
-_MC_ORDER_KEYS = ("trials",)
-_NESTED_FIELDS = {"clean": ("tyler",), "backtest": ("clean", "optimizer")}
-
-
-def _field_names(cls) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)}
 
 
 def _load_config(path) -> dict:
@@ -62,8 +70,8 @@ def _load_config(path) -> dict:
     if path is None:
         return {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -72,22 +80,23 @@ def _load_config(path) -> dict:
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     for section, payload in data.items():
-        if section not in _SECTION_CLASSES:
+        if section not in _SECTION_KEYS:
             raise UsageError(
                 f"config file {path}: unknown section {section!r}")
         if not isinstance(payload, dict):
             raise UsageError(
                 f"config file {path}: section {section!r} must be an object")
-        cls = _SECTION_CLASSES[section]
-        if cls is None:
-            allowed = set(_MC_ORDER_KEYS)
-        else:
-            allowed = _field_names(cls) - set(_NESTED_FIELDS.get(section, ()))
-        for key in payload:
-            if key not in allowed:
+        types = _SECTION_KEYS[section]
+        for key, value in payload.items():
+            if key not in types:
                 raise UsageError(
                     f"config file {path}: unknown key {key!r} "
                     f"in section {section!r}")
+            accepted, expected = _JSON_TYPES[types[key]]
+            if type(value) not in accepted:
+                raise UsageError(
+                    f"config file {path}: key {key!r} in section "
+                    f"{section!r} must be {expected}, got {value!r}")
     return data
 
 
@@ -95,16 +104,6 @@ def _merged(config: dict, section: str, overrides: dict) -> dict:
     body = dict(config.get(section, {}))
     body.update({k: v for k, v in overrides.items() if v is not None})
     return body
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _atomic_write_json(path: Path, payload) -> None:
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _atomic_via(path: Path, writer) -> None:
@@ -115,6 +114,11 @@ def _atomic_via(path: Path, writer) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _atomic_write_json(path: Path, payload) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _atomic_via(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def _out_dir(args) -> Path:
@@ -210,7 +214,7 @@ def cmd_allocate(args) -> None:
     out = _out_dir(args)
 
     def write_weights(tmp):
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["asset", "weight"])
             for label, weight in zip(panel.labels, result.weights.weights):
@@ -240,7 +244,7 @@ def _write_backtest_csvs(out: Path, results: dict[str, BacktestResult]) -> None:
         suffix = f"_{name}" if len(results) > 1 else ""
 
         def write_weights(tmp, result=result):
-            with open(tmp, "w", newline="") as fh:
+            with open(tmp, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["Date"] + result.labels)
                 for i, date in enumerate(result.rebalance_dates):
@@ -250,7 +254,7 @@ def _write_backtest_csvs(out: Path, results: dict[str, BacktestResult]) -> None:
         _atomic_via(out / f"weights{suffix}.csv", write_weights)
 
     def write_aligned(tmp, attr, dates, extra=()):
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["Date"] + names + [label for label, _ in extra])
             columns = ([getattr(results[name], attr) for name in names]
@@ -336,25 +340,6 @@ def _order_counts(spec: FactorModelSpec, clean_cfg: CleanConfig) -> tuple[int, i
     return scm_k, tyler_k, report.k_hat
 
 
-def _mc_trial(payload) -> tuple[int, int, int]:
-    spec, clean_cfg = payload
-    return _order_counts(spec, clean_cfg)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise UsageError(
-            f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
-    if count < 1:
-        raise UsageError(f"{WORKERS_ENV} must be >= 1, got {count}")
-    return count
-
-
 def cmd_mc_order(args) -> None:
     """Tally selected model orders over seeded trials; write a CSV table."""
     config = _load_config(args.config)
@@ -368,15 +353,9 @@ def cmd_mc_order(args) -> None:
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
 
-    specs = [dataclasses.replace(spec, seed=spec.seed + i)
-             for i in range(trials)]
-    payloads = [(s, clean_cfg) for s in specs]
-    workers = _worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            triples = list(pool.map(_mc_trial, payloads))
-    else:
-        triples = [_mc_trial(p) for p in payloads]
+    triples = [_order_counts(dataclasses.replace(spec, seed=spec.seed + i),
+                             clean_cfg)
+               for i in range(trials)]
 
     columns = ("scm", "tyler_raw", "tyler_whitened")
     top = max(max(triple) for triple in triples)
@@ -388,7 +367,7 @@ def cmd_mc_order(args) -> None:
     out = _out_dir(args)
 
     def write_table(tmp):
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["k_hat"] + list(columns))
             for k in range(top + 1):

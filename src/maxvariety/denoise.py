@@ -201,7 +201,7 @@ def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport
     notes: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        robust_scatter = tyler(work, cfg.tyler, demean=False)
+        robust_scatter = tyler(work, cfg.tyler)
         noise_scatter = toeplitzify(robust_scatter.values)
         noise_scatter *= m / np.trace(noise_scatter)
         whitener = inv_sqrt(noise_scatter, cfg.eigen_floor)
@@ -209,7 +209,7 @@ def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport
         # Affine equivariance puts pass 2's fixed point at the whitened pass
         # 1 estimate; one sweep from there certifies it.
         start = whitener @ robust_scatter.values @ whitener
-        whitened_scatter = tyler(whitened, cfg.tyler, demean=False,
+        whitened_scatter = tyler(whitened, cfg.tyler,
                                  start=0.5 * (start + start.T))
     notes.extend(str(w.message) for w in caught)
 
@@ -234,22 +234,17 @@ def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport
                           warnings=notes)
 
 
-def save_eigenvalue_histogram(eigenvalues, path, bins: int = 60,
-                              log_scale: bool = True) -> None:
-    """Write a binned eigenvalue histogram as CSV for external plotting."""
+def save_eigenvalue_histogram(eigenvalues, path) -> None:
+    """Write a 60-bin histogram of the log eigenvalues as CSV for plotting."""
     eigvals = np.asarray(eigenvalues, dtype=float).ravel()
     if eigvals.size == 0:
         raise ParameterError("no eigenvalues to histogram")
-    if log_scale:
-        if np.any(eigvals <= 0.0):
-            raise ParameterError(
-                "log-scale histogram needs strictly positive eigenvalues")
-        data = np.log(eigvals)
-    else:
-        data = eigvals
-    counts, edges = np.histogram(data, bins=bins)
+    if np.any(eigvals <= 0.0):
+        raise ParameterError(
+            "log-scale histogram needs strictly positive eigenvalues")
+    counts, edges = np.histogram(np.log(eigvals), bins=60)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_center", "count"])
         for center, count in zip(centers, counts):

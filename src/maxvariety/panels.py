@@ -2,8 +2,7 @@
 
 A panel is an m x N matrix with one row per asset and one column per
 observation, plus asset labels and per-observation timestamps.  The CSV
-layout has observations as rows (header ``t,<label>,<label>,...``) or,
-when ``orient="rows"``, assets as rows (header ``asset,<t>,<t>,...``).
+layout has observations as rows (header ``t,<label>,<label>,...``).
 """
 
 from __future__ import annotations
@@ -41,29 +40,14 @@ class ReturnsPanel:
             raise ParameterError(
                 f"{len(self.timestamps)} timestamps for {n} observations")
 
-    @property
-    def n_assets(self) -> int:
-        return self.values.shape[0]
 
-    @property
-    def n_obs(self) -> int:
-        return self.values.shape[1]
-
-
-def save_returns_csv(panel: ReturnsPanel, path, orient: str = "columns") -> None:
-    """Write a panel to CSV with assets as columns (default) or rows."""
-    if orient not in ("columns", "rows"):
-        raise ParameterError(f"unknown orient {orient!r}")
-    with open(path, "w", newline="") as fh:
+def save_returns_csv(panel: ReturnsPanel, path) -> None:
+    """Write a panel to UTF-8 CSV, one row per observation."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if orient == "columns":
-            writer.writerow(["t"] + list(panel.labels))
-            for j, stamp in enumerate(panel.timestamps):
-                writer.writerow([stamp] + [repr(float(v)) for v in panel.values[:, j]])
-        else:
-            writer.writerow(["asset"] + list(panel.timestamps))
-            for i, label in enumerate(panel.labels):
-                writer.writerow([label] + [repr(float(v)) for v in panel.values[i, :]])
+        writer.writerow(["t"] + list(panel.labels))
+        for j, stamp in enumerate(panel.timestamps):
+            writer.writerow([stamp] + [repr(float(v)) for v in panel.values[:, j]])
 
 
 def _csv_rows(text: str, path) -> list[list[str]]:
@@ -112,14 +96,12 @@ def _read_csv(path, what: str, key=str):
     return text, (header, keys, cells)
 
 
-def load_returns_csv(path, orient: str = "columns") -> ReturnsPanel:
+def load_returns_csv(path) -> ReturnsPanel:
     """Read a panel written by :func:`save_returns_csv`.
 
     Raises :class:`IngestionError` naming the offending row and column when a
     cell is missing, not numeric, or not finite (``nan``, ``inf``).
     """
-    if orient not in ("columns", "rows"):
-        raise ParameterError(f"unknown orient {orient!r}")
     content, plain = _read_csv(path, "returns")
     if plain is not None:
         header, keys, cells = plain
@@ -152,6 +134,4 @@ def load_returns_csv(path, orient: str = "columns") -> ReturnsPanel:
             raise IngestionError(
                 f"{path}: row {r + 2}, column {c + 2} ({header[c + 1]!r}): "
                 f"not finite: {body[r][c + 1]!r}")
-    if orient == "columns":
-        return ReturnsPanel(cells.T, labels=header[1:], timestamps=keys)
-    return ReturnsPanel(cells, labels=keys, timestamps=header[1:])
+    return ReturnsPanel(cells.T, labels=header[1:], timestamps=keys)

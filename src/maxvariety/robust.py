@@ -2,7 +2,7 @@
 
 Provides the sample covariance, a distribution-free fixed-point M-estimator
 of scatter, rectification of an estimate toward Toeplitz structure, and the
-inverse-square-root / whitening transforms built on top of them.
+inverse square root that whitens a panel with one of them.
 """
 
 from __future__ import annotations
@@ -43,24 +43,10 @@ class ScatterMatrix:
     def dim(self) -> int:
         return self.values.shape[0]
 
-    def validate(self, tol: float = 1e-10) -> None:
-        """Check symmetry, and the trace convention when tagged trace_m."""
-        scale = max(np.abs(self.values).max(), 1.0)
-        asym = np.abs(self.values - self.values.T).max()
-        if asym > tol * scale:
-            raise ParameterError(
-                f"scatter matrix asymmetric: max deviation {asym:.3e}")
-        if self.normalization == "trace_m":
-            drift = abs(np.trace(self.values) - self.dim)
-            if drift > 1e-8 * self.dim:
-                raise ParameterError(
-                    f"trace_m scatter has trace {np.trace(self.values)!r}, "
-                    f"expected {self.dim}")
-
 
 def save_scatter_csv(scatter: ScatterMatrix, path) -> None:
     """Serialize with a one-line header carrying the dimension and tag."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([scatter.dim, scatter.normalization])
         for row in scatter.values:
@@ -116,16 +102,12 @@ class TylerConfig:
 
     max_iter: int = 200
     tol: float = 1e-8
-    eigen_floor: float = 1e-10
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
         if not self.tol > 0.0:
             raise ParameterError(f"tol must be positive, got {self.tol}")
-        if self.eigen_floor < 0.0:
-            raise ParameterError(
-                f"eigen_floor must be >= 0, got {self.eigen_floor}")
 
 
 def _tyler_step(panel: np.ndarray, current: np.ndarray) -> np.ndarray:
@@ -166,7 +148,7 @@ def _check_start(start, m: int) -> np.ndarray:
 
 
 def tyler(panel, config: TylerConfig | None = None, *,
-          demean: bool = False, start=None) -> ScatterMatrix:
+          start=None) -> ScatterMatrix:
     """Distribution-free scatter estimate, normalized to trace m.
 
     Solves ``C = (m/N) * sum_t r_t r_t' / (r_t' C^{-1} r_t)`` by fixed-point
@@ -181,11 +163,11 @@ def tyler(panel, config: TylerConfig | None = None, *,
     quadratic forms from a Cholesky factor of the current iterate; an
     iterate that is not positive definite raises SingularMatrixError.
 
-    The estimator assumes observations centered at zero.  Demeaning is off by
-    default on purpose: subtracting a plug-in mean gives every small-norm
-    observation nearly the same direction, and the estimator then grows a
-    spurious spike along it (the effect is strong for heavy-tailed data whose
-    radial density piles up near zero).  Only enable ``demean`` for data whose
+    The estimator assumes observations centered at zero and does not demean
+    them.  Subtracting a plug-in mean first (``demean_rows``) gives every
+    small-norm observation nearly the same direction, and the estimator then
+    grows a spurious spike along it (the effect is strong for heavy-tailed
+    data whose radial density piles up near zero).  Only demean data whose
     per-asset means are believed material and whose observation norms stay
     well away from zero.
 
@@ -197,8 +179,6 @@ def tyler(panel, config: TylerConfig | None = None, *,
     """
     cfg = config or TylerConfig()
     panel = _check_panel(panel)
-    if demean:
-        panel = demean_rows(panel)
     m, n = panel.shape
     if n <= m:
         raise InsufficientSamplesError(
@@ -225,11 +205,9 @@ def tyler(panel, config: TylerConfig | None = None, *,
         residual=residual, iterate=current)
 
 
-def fixed_point_residual(panel, scatter, *, demean: bool = False) -> float:
+def fixed_point_residual(panel, scatter) -> float:
     """Relative Frobenius defect of the scatter fixed-point equation."""
     panel = _check_panel(panel)
-    if demean:
-        panel = demean_rows(panel)
     values = _as_matrix(scatter)
     step = _tyler_step(panel, values)
     return np.linalg.norm(step - values) / np.linalg.norm(values)
@@ -295,14 +273,3 @@ def inv_sqrt(scatter, eigen_floor: float = 1e-10) -> np.ndarray:
             f"before inversion", EigenvalueFloorWarning, stacklevel=2)
         eigvals = np.maximum(eigvals, floor)
     return (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
-
-
-def whiten(panel, scatter, eigen_floor: float = 1e-10) -> np.ndarray:
-    """Apply the inverse square root of ``scatter`` to every observation."""
-    panel = _check_panel(panel)
-    values = _as_matrix(scatter)
-    if values.shape[0] != panel.shape[0]:
-        raise ParameterError(
-            f"scatter dimension {values.shape[0]} does not match "
-            f"panel with {panel.shape[0]} assets")
-    return inv_sqrt(values, eigen_floor) @ panel

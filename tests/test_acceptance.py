@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxvariety import (CleanConfig, FactorModelSpec, brute_force_vr,
-                        clean_covariance, clip_spectrum, eigen_spectrum,
-                        fixed_point_residual, gen_panel, maximize_variety,
-                        mp_upper_bound, optimize_variety, perf_stats,
-                        rolling_schedule, toeplitzify, tyler, variety_ratio)
+from maxvariety import (CleanConfig, FactorModelSpec, clean_covariance,
+                        clip_spectrum, eigen_spectrum, fixed_point_residual,
+                        gen_panel, maximize_variety, mp_upper_bound,
+                        optimize_variety, perf_stats, rolling_schedule,
+                        toeplitzify, tyler, variety_ratio)
+from oracles import brute_force_vr
 from maxvariety.cli import main
 
 FIXTURE = Path(__file__).parent / "data" / "prices_fixture.csv"

@@ -6,12 +6,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from maxvariety import (ConvergenceError, CovarianceInput, DegenerateDataError,
-                        FactorModelSpec, OptimizerConfig, ParameterError,
-                        WeightVector, brute_force_vr, gen_panel,
+                        FactorModelSpec, MaxVarietyError, OptimizerConfig,
+                        ParameterError, WeightVector, gen_panel,
                         maximize_variety, min_variance_variety_weights,
-                        optimize_variety, project_simplex, scm, variety_ratio)
+                        optimize_variety, scm, variety_ratio)
+from maxvariety.allocation import _project
+from oracles import brute_force_vr
 
 
 def _random_spd(m, rng, spread=3.0):
@@ -89,11 +93,11 @@ def _project_oracle(v):
 
 
 def test_project_simplex_fixtures():
-    np.testing.assert_allclose(project_simplex([0.4, 0.6]).weights,
+    np.testing.assert_allclose(_project(np.array([0.4, 0.6])),
                                [0.4, 0.6], atol=1e-14)
-    np.testing.assert_allclose(project_simplex([2.0, 0.0]).weights,
+    np.testing.assert_allclose(_project(np.array([2.0, 0.0])),
                                [1.0, 0.0], atol=1e-14)
-    np.testing.assert_allclose(project_simplex([0.0, 0.0, 0.0]).weights,
+    np.testing.assert_allclose(_project(np.zeros(3)),
                                np.full(3, 1.0 / 3.0), atol=1e-14)
 
 
@@ -102,7 +106,7 @@ def test_project_simplex_matches_support_oracle():
     for _ in range(50):
         m = int(rng.integers(1, 7))
         v = rng.normal(scale=2.0, size=m)
-        got = project_simplex(v).weights
+        got = _project(v)
         want = _project_oracle(v)
         np.testing.assert_allclose(got, want, atol=1e-9)
         assert got.sum() == pytest.approx(1.0, abs=1e-12)
@@ -347,6 +351,39 @@ def test_optimizer_config_validation():
     assert caught.value.residual > 1e-300
 
 
+@st.composite
+def _factor_covariances(draw):
+    """``D (B B' + diag(d)) D``: m in [2, 30], 0 to m factors, per-asset
+    scales in [1e-3, 1e3], and idiosyncratic variances that may be zero,
+    which makes the matrix singular whenever there are fewer factors than
+    assets."""
+    m = draw(st.integers(2, 30))
+    k = draw(st.integers(0, m))
+    b = draw(arrays(float, (m, k), elements=st.floats(-1.0, 1.0)))
+    d = draw(arrays(float, m, elements=st.sampled_from([0.0, 1e-6, 1.0])))
+    scales = 10.0 ** draw(arrays(float, m, elements=st.floats(-3.0, 3.0)))
+    return (b @ b.T + np.diag(d)) * np.outer(scales, scales)
+
+
+@settings(max_examples=300)
+@given(sigma=_factor_covariances())
+# volatilities 1e105 apart: the certificate's gradient reaches 1e104 and
+# its simplex projection used to raise a raw IndexError
+@example(sigma=np.array([[1.0, 4.41083863e-106, 4.41083863e-106],
+                         [4.41083863e-106, 5.83664921e-211, 5.83664921e-211],
+                         [4.41083863e-106, 5.83664921e-211, 5.83664921e-211]]))
+def test_optimizer_on_factor_covariances_is_feasible_or_refuses(sigma):
+    cfg = OptimizerConfig()
+    try:
+        result = optimize_variety(sigma, cfg)
+    except MaxVarietyError:
+        return
+    w = result.weights.weights
+    assert w.min() >= -1e-8
+    assert abs(w.sum() - 1.0) <= 1e-8
+    assert result.kkt_residual <= cfg.kkt_tol
+
+
 # ---------------------------------------------------------------- containers
 
 
@@ -354,7 +391,6 @@ def test_covariance_input_from_covariance():
     sigma = np.array([[4.0, 0.6], [0.6, 1.0]])
     cov = CovarianceInput.from_covariance(sigma)
     np.testing.assert_allclose(cov.vols, [2.0, 1.0])
-    cov.validate()
 
 
 def test_covariance_input_rejects_asymmetry():

@@ -9,9 +9,10 @@ import json
 import numpy as np
 import pytest
 
-from maxvariety import (FactorModelSpec, gen_panel, mp_upper_bound,
-                        order_threshold, tyler)
-from maxvariety.cli import WORKERS_ENV, main
+from maxvariety import (FactorModelSpec, demean_rows, gen_panel,
+                        mp_upper_bound, order_threshold, tyler)
+import maxvariety.cli as cli
+from maxvariety.cli import main
 
 
 def _run(*argv):
@@ -85,11 +86,54 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for payload, key in (({"synth": {"m": 5, "N": 25, "bogus": 1}}, "bogus"),
                          ({"optimizer": {"n_starts": 4}}, "n_starts"),
-                         ({"clean": {"clip_rule": "literal"}}, "clip_rule")):
+                         ({"clean": {"clip_rule": "literal"}}, "clip_rule"),
+                         ({"tyler": {"eigen_floor": 1e-10}}, "eigen_floor")):
         cfg.write_text(json.dumps(payload))
         code = _run("synth", "--config", str(cfg), "--out", str(tmp_path))
         assert code == 1
         assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("section", "key", "value"), [
+    ("mc_order", "trials", "5"),
+    ("mc_order", "trials", 2.5),
+    ("mc_order", "trials", True),
+    ("tyler", "max_iter", "10"),
+    ("tyler", "tol", None),
+    ("clean", "eigen_floor", None),
+    ("clean", "demean", 1),
+    ("synth", "seed", 1.0),
+    ("optimizer", "kkt_tol", False),
+    ("backtest", "benchmark", 3),
+    ("backtest", "estimator", None),
+])
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, section,
+                                                   key, value):
+    # the whole file is checked before any section is used, so mc-order
+    # also rejects the backtest and optimizer sections it never reads
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    code = _run("mc-order", "--m", "10", "--N", "80", "--config", str(cfg),
+                "--out", str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "usage error" in err and "Traceback" not in err
+    assert repr(section) in err and repr(key) in err and "must be" in err
+
+
+def test_config_values_of_the_field_type_are_accepted(tmp_path):
+    # an int where a float goes, and null where a string is optional
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "synth": {"m": 4, "N": 20, "rho": 0},
+        "optimizer": {"kkt_tol": 1},
+        "clean": {"demean": False, "eigen_floor": 0},
+        "backtest": {"benchmark": None, "estimator": "scm"},
+        "mc_order": {"trials": 1}}))
+    assert _run("synth", "--config", str(cfg), "--out", str(tmp_path)) == 0
+    # every annotated field type has a JSON rule
+    assert {kind for keys in cli._SECTION_KEYS.values()
+            for kind in keys.values()} <= set(cli._JSON_TYPES)
 
 
 def test_unknown_config_section_rejected(tmp_path, capsys):
@@ -397,7 +441,8 @@ def test_mc_order_table(tmp_path, capsys):
         for seed in range(3):
             spec = FactorModelSpec(m=30, N=200, K=0, rho=0.5, nu=0.5,
                                    seed=seed)
-            raw = tyler(gen_panel(spec).returns, demean=demean).values
+            x = gen_panel(spec).returns
+            raw = tyler(demean_rows(x) if demean else x).values
             raw_orders.append(int(np.count_nonzero(
                 np.linalg.eigvalsh(raw) > mp_upper_bound(30 / 200))))
         table = _order_table(out)
@@ -411,27 +456,6 @@ def test_mc_order_requires_trials(tmp_path, capsys):
     assert "--trials" in capsys.readouterr().err
 
 
-def test_mc_order_parallel_matches_serial(tmp_path, monkeypatch):
-    args = ["mc-order", "--m", "10", "--N", "80", "--K", "1",
-            "--factor-snr", "6.0", "--trials", "2", "--seed", "5",
-            "--no-demean"]
-    serial_out = tmp_path / "serial"
-    assert _run(*args, "--out", str(serial_out)) == 0
-    monkeypatch.setenv(WORKERS_ENV, "2")
-    parallel_out = tmp_path / "parallel"
-    assert _run(*args, "--out", str(parallel_out)) == 0
-    assert ((serial_out / "order_frequencies.csv").read_bytes()
-            == (parallel_out / "order_frequencies.csv").read_bytes())
-
-
-def test_mc_order_rejects_bad_worker_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(WORKERS_ENV, "zero")
-    code = _run("mc-order", "--m", "10", "--N", "80", "--trials", "1",
-                "--out", str(tmp_path))
-    assert code == 1
-    assert WORKERS_ENV in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------- parser
 
 
@@ -443,3 +467,12 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_missing_required_flag_is_usage_error(capsys):
     assert _run("clean") == 1
     assert "--input" in capsys.readouterr().err
+
+
+def test_failed_json_write_leaves_no_temporary_file(tmp_path):
+    # renaming onto a directory fails after the temporary file is written
+    target = tmp_path / "report.json"
+    target.mkdir()
+    with pytest.raises(OSError):
+        cli._atomic_write_json(target, {"k_hat": 0})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]

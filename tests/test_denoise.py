@@ -247,10 +247,10 @@ def test_eigenvalue_histogram_csv(tmp_path):
     rng = np.random.default_rng(24)
     eigs = rng.uniform(0.5, 2.0, size=200)
     path = tmp_path / "hist.csv"
-    save_eigenvalue_histogram(eigs, path, bins=16)
+    save_eigenvalue_histogram(eigs, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "bin_center,count"
-    assert len(lines) == 17
+    assert len(lines) == 61
     counts = [int(line.split(",")[1]) for line in lines[1:]]
     assert sum(counts) == 200
 

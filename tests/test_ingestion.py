@@ -28,7 +28,7 @@ from maxvariety import (IngestionError, MaxVarietyError, PricePanel,
                         save_returns_csv)
 
 
-def _reference_load_returns_csv(path, orient="columns"):
+def _reference_load_returns_csv(path):
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -62,9 +62,7 @@ def _reference_load_returns_csv(path, orient="columns"):
         raise IngestionError(
             f"{path}: row {r + 2}, column {c + 2} ({header[c + 1]!r}): "
             f"not finite: {body[r][c + 1]!r}")
-    if orient == "columns":
-        return ReturnsPanel(cells.T, labels=header[1:], timestamps=keys)
-    return ReturnsPanel(cells, labels=keys, timestamps=header[1:])
+    return ReturnsPanel(cells.T, labels=header[1:], timestamps=keys)
 
 
 def _reference_load_prices(path, missing_policy="error"):
@@ -145,15 +143,14 @@ def _same_array(got, want):
 
 
 def _assert_loaders_agree(path):
-    for orient in ("columns", "rows"):
-        got = _outcome(load_returns_csv, path, orient=orient)
-        want = _outcome(_reference_load_returns_csv, path, orient=orient)
-        if isinstance(want, tuple):
-            assert got == want
-        else:
-            assert _same_array(got.values, want.values)
-            assert got.labels == want.labels
-            assert got.timestamps == want.timestamps
+    got = _outcome(load_returns_csv, path)
+    want = _outcome(_reference_load_returns_csv, path)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert _same_array(got.values, want.values)
+        assert got.labels == want.labels
+        assert got.timestamps == want.timestamps
     for policy in ("error", "forward_fill"):
         got = _outcome(load_prices, path, missing_policy=policy)
         want = _outcome(_reference_load_prices, path, missing_policy=policy)
@@ -290,3 +287,14 @@ def test_utf8_is_read_whatever_the_locale(tmp_path):
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == ascii(["Zürich"])
+    # and the CLI writes the label it read
+    path.write_bytes("t,Zürich,Genève\n0,1.0,0.5\n1,-1.0,0.5\n"
+                     "2,0.5,-1.0\n".encode())
+    out = tmp_path / "out"
+    run = subprocess.run([sys.executable, "-m", "maxvariety.cli", "allocate",
+                          "--input", str(path), "--estimator", "scm",
+                          "--out", str(out)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    rows = (out / "weights.csv").read_bytes().decode("utf-8").splitlines()
+    assert [row.split(",")[0] for row in rows] == ["asset", "Zürich", "Genève"]

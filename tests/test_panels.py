@@ -19,8 +19,6 @@ def test_default_labels_and_timestamps():
     panel = ReturnsPanel(np.zeros((2, 4)))
     assert panel.labels == ["A000", "A001"]
     assert panel.timestamps == ["0", "1", "2", "3"]
-    assert panel.n_assets == 2
-    assert panel.n_obs == 4
 
 
 def test_label_count_must_match():
@@ -38,15 +36,6 @@ def test_csv_round_trip_columns(tmp_path):
     np.testing.assert_array_equal(loaded.values, panel.values)
     assert loaded.labels == panel.labels
     assert loaded.timestamps == panel.timestamps
-
-
-def test_csv_round_trip_rows(tmp_path):
-    panel = _panel()
-    path = tmp_path / "returns_rows.csv"
-    save_returns_csv(panel, path, orient="rows")
-    loaded = load_returns_csv(path, orient="rows")
-    np.testing.assert_array_equal(loaded.values, panel.values)
-    assert loaded.labels == panel.labels
 
 
 def test_csv_error_names_row_and_column(tmp_path):
