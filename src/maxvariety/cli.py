@@ -107,11 +107,16 @@ def _merged(config: dict, section: str, overrides: dict) -> dict:
 
 
 def _atomic_via(path: Path, writer) -> None:
-    """Run ``writer(tmp_path)`` and rename the result into place."""
+    """Run ``writer(tmp_path)`` and rename the result into place.
+
+    A failure to write or rename raises UsageError naming ``path``.
+    """
     tmp = Path(str(path) + ".tmp")
     try:
         writer(tmp)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -123,7 +128,11 @@ def _atomic_write_json(path: Path, payload) -> None:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(
+            f"cannot create output directory {out}: {exc}") from exc
     return out
 
 

@@ -120,9 +120,16 @@ def gen_panel(spec: FactorModelSpec) -> SyntheticPanel:
     factors = rng.standard_normal((spec.K, spec.N))
     textures = gen_texture(spec.nu, spec.N, rng)
 
-    directions = np.empty((spec.m, spec.N))
-    for t in range(spec.N):
-        directions[:, t] = gen_sphere_vector(spec.m, rng)
+    # One block of the draws gen_sphere_vector would take one observation at
+    # a time; each row's norm is the same ddot that np.linalg.norm takes, so
+    # the directions are bit-identical to N calls of it.  A row that is
+    # exactly zero (at most about 2**-52 per draw) is redrawn after the
+    # block.
+    block = rng.standard_normal((spec.N, spec.m))
+    norms = np.sqrt([np.dot(row, row) for row in block])
+    for t in np.flatnonzero(norms == 0.0):
+        block[t], norms[t] = gen_sphere_vector(spec.m, rng), 1.0
+    directions = np.divide(block.T, norms, out=np.empty((spec.m, spec.N)))
 
     noise = np.sqrt(textures)[None, :] * (scatter_half @ directions)
     returns = loadings @ factors + noise

@@ -110,12 +110,15 @@ class TylerConfig:
             raise ParameterError(f"tol must be positive, got {self.tol}")
 
 
-def _tyler_step(panel: np.ndarray, current: np.ndarray) -> np.ndarray:
+def _tyler_step(panel: np.ndarray, current: np.ndarray, white=None,
+                scaled=None) -> np.ndarray:
     """One fixed-point sweep: reweight samples by their Mahalanobis norm.
 
     With the Cholesky factor ``current = L L'``, the norm ``r' C^{-1} r`` of
     a sample is the squared length of ``L^{-1} r``, so one m x m factor and
-    one matrix product give all N of them.
+    one matrix product give all N of them.  ``white`` and ``scaled`` are
+    optional m x N float buffers for the two panel-sized intermediates; a
+    caller that sweeps many times passes the same pair to every sweep.
     """
     m, n = panel.shape
     try:
@@ -123,14 +126,75 @@ def _tyler_step(panel: np.ndarray, current: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(
             "scatter iterate lost positive definiteness") from exc
-    white = np.linalg.inv(factor) @ panel
+    white = np.matmul(np.linalg.inv(factor), panel, out=white)
     quad = np.einsum("ij,ij->j", white, white)
     if not np.all(quad > 0.0):
         raise SingularMatrixError(
             "scatter iterate lost positive definiteness")
-    scaled = panel / np.sqrt(quad)
+    scaled = np.divide(panel, np.sqrt(quad), out=scaled)
     update = (m / n) * (scaled @ scaled.T)
     return 0.5 * (update + update.T)
+
+
+# Anderson mixing (Walker & Ni 2011) extrapolates from this many of the
+# latest sweep differences.
+ANDERSON_DEPTH = 4
+# A Gram matrix of sweep differences, scaled to a unit diagonal, that is
+# worse conditioned than this marks a collinear history: it is dropped.
+_GRAM_COND_LIMIT = 1e8
+
+
+class _Anderson:
+    """The recent history of a fixed-point iteration and its mixing step.
+
+    Rows of ``d_f`` and ``d_g`` hold, in a ring of ANDERSON_DEPTH slots, the
+    differences between consecutive residuals ``f = G(C) - C`` and
+    consecutive sweeps ``G(C)``, flattened; ``gram`` holds the inner
+    products of the ``d_f`` rows and gains one row per sweep.
+    """
+
+    def __init__(self, size: int):
+        self.d_f = np.empty((ANDERSON_DEPTH, size))
+        self.d_g = np.empty((ANDERSON_DEPTH, size))
+        self.gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
+        self.last = None
+        self.count = self.slot = 0
+
+    def clear(self) -> None:
+        """Drop the stored differences; the latest sweep stays."""
+        self.count = self.slot = 0
+
+    def mix(self, f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+        """Record sweep ``g`` with residual ``f`` and return the mixed
+        iterate ``g - d_g' gamma``, where ``gamma`` minimises
+        ``|f - d_f' gamma|``; None when there is no usable history."""
+        if self.last is not None:
+            last_f, last_g = self.last
+            slot = self.slot
+            np.subtract(f, last_f, out=self.d_f[slot])
+            np.subtract(g, last_g, out=self.d_g[slot])
+            self.count = min(self.count + 1, ANDERSON_DEPTH)
+            self.slot = (slot + 1) % ANDERSON_DEPTH
+            row = self.d_f[:self.count] @ self.d_f[slot]
+            self.gram[slot, :self.count] = row
+            self.gram[:self.count, slot] = row
+        self.last = (f, g)
+        count = self.count
+        if not count:
+            return None
+        gram = self.gram[:count, :count]
+        norms = np.sqrt(np.diag(gram))
+        if np.all(norms > 0.0):
+            spread = np.linalg.eigvalsh(gram / np.outer(norms, norms))
+            if spread[0] * _GRAM_COND_LIMIT > spread[-1]:
+                gamma = np.linalg.solve(gram, self.d_f[:count] @ f)
+                # a sum of symmetric matrices, so exactly symmetric
+                mixed = g.copy()
+                for weight, diff in zip(gamma, self.d_g[:count]):
+                    mixed -= weight * diff
+                return mixed
+        self.clear()
+        return None
 
 
 def _check_start(start, m: int) -> np.ndarray:
@@ -160,8 +224,20 @@ def tyler(panel, config: TylerConfig | None = None, *,
     positive definite raises SingularMatrixError.  Per-sample scale factors
     cancel inside the quadratic form, so the estimate ignores any
     heavy-tailed radial component of the data.  Each sweep takes the
-    quadratic forms from a Cholesky factor of the current iterate; an
-    iterate that is not positive definite raises SingularMatrixError.
+    quadratic forms from a Cholesky factor of the current iterate, and all
+    sweeps of one call share one workspace for the m x N intermediates.
+
+    The iterates are Anderson mixed (Walker & Ni 2011): from the sweep
+    ``G(C)`` of each iterate ``C`` and the last ANDERSON_DEPTH differences
+    of sweeps and residuals ``G(C) - C``, the next iterate is the
+    combination of sweeps whose residuals combine to the least norm, put on
+    trace m.  The stop test is unchanged: the iteration returns the plain
+    sweep ``G(C)`` once ``|G(C) - C| / |C| < config.tol`` (Frobenius), so
+    the result is certified as a plain fixed-point loop's is.  A mixed
+    iterate that is not positive definite, or a history too collinear to
+    solve for the combination, is dropped: the iteration resumes from the
+    last plain sweep with an empty history.  A plain iterate (the start or
+    a sweep) that is not positive definite raises SingularMatrixError.
 
     The estimator assumes observations centered at zero and does not demean
     them.  Subtracting a plug-in mean first (``demean_rows``) gives every
@@ -173,9 +249,9 @@ def tyler(panel, config: TylerConfig | None = None, *,
 
     Requires strictly more observations than assets, finite entries (a
     non-finite one raises DegenerateDataError naming it) and no all-zero
-    observation.  Raises ConvergenceError (carrying the last residual) if the
-    relative Frobenius change is still above ``config.tol`` after
-    ``config.max_iter`` sweeps.
+    observation.  Raises ConvergenceError, carrying the last plain sweep and
+    its residual, if no sweep met ``config.tol`` within ``config.max_iter``
+    sweeps (a rejected mixed iterate counts as one).
     """
     cfg = config or TylerConfig()
     panel = _check_panel(panel)
@@ -190,19 +266,38 @@ def tyler(panel, config: TylerConfig | None = None, *,
             f"observation {dead[0]} is identically zero")
 
     current = np.eye(m) if start is None else _check_start(start, m)
+    white, scaled = np.empty((m, n)), np.empty((m, n))
+    history = _Anderson(m * m)
+    plain, mixed = None, False
     residual = np.inf
     for _ in range(cfg.max_iter):
-        update = _tyler_step(panel, current)
+        try:
+            update = _tyler_step(panel, current, white, scaled)
+        except SingularMatrixError:
+            if not mixed:
+                raise
+            # the extrapolation left the positive definite cone: resume
+            # from the last plain sweep with an empty history
+            current, mixed = plain, False
+            history.clear()
+            continue
         update *= m / np.trace(update)
-        residual = (np.linalg.norm(update - current)
-                    / np.linalg.norm(current))
-        current = update
+        change = update - current
+        residual = np.linalg.norm(change) / np.linalg.norm(current)
+        plain = update
         if residual < cfg.tol:
-            return ScatterMatrix(current, normalization="trace_m")
+            return ScatterMatrix(update, normalization="trace_m")
+        extrapolated = history.mix(change.ravel(), update.ravel())
+        mixed = extrapolated is not None
+        if mixed:
+            current = extrapolated.reshape(m, m)
+            current *= m / np.trace(current)
+        else:
+            current = update
     raise ConvergenceError(
         f"fixed-point iteration stalled at residual {residual:.3e} "
         f"after {cfg.max_iter} sweeps (tol {cfg.tol:.1e})",
-        residual=residual, iterate=current)
+        residual=residual, iterate=plain)
 
 
 def fixed_point_residual(panel, scatter) -> float:

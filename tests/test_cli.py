@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from maxvariety import (FactorModelSpec, demean_rows, gen_panel,
+from maxvariety import (FactorModelSpec, UsageError, demean_rows, gen_panel,
                         mp_upper_bound, order_threshold, tyler)
 import maxvariety.cli as cli
 from maxvariety.cli import main
@@ -473,6 +473,41 @@ def test_failed_json_write_leaves_no_temporary_file(tmp_path):
     # renaming onto a directory fails after the temporary file is written
     target = tmp_path / "report.json"
     target.mkdir()
-    with pytest.raises(OSError):
+    with pytest.raises(UsageError, match="report.json"):
         cli._atomic_write_json(target, {"k_hat": 0})
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+def test_synth_out_is_an_existing_file_is_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    code = _run("synth", "--m", "3", "--N", "5", "--out", str(taken))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cannot create output directory")
+    assert str(taken) in err
+    assert taken.read_text() == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_clean_out_below_a_file_is_usage_error(tmp_path, capsys):
+    returns = _synth_returns(tmp_path, m=5, N=60, seed=2)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    code = _run("clean", "--input", str(returns), "--no-demean",
+                "--out", str(blocker / "x"))
+    assert code == 1
+    assert str(blocker / "x") in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_clean_output_blocked_by_a_directory_is_usage_error(tmp_path, capsys):
+    # report.json exists as a directory: the rename onto it fails
+    returns = _synth_returns(tmp_path, m=5, N=60, seed=2)
+    out = tmp_path / "clean"
+    (out / "report.json").mkdir(parents=True)
+    code = _run("clean", "--input", str(returns), "--no-demean",
+                "--out", str(out))
+    assert code == 1
+    assert str(out / "report.json") in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.tmp"))

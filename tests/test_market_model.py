@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import maxvariety.market_model as market_model
 from maxvariety import (FactorModelSpec, ParameterError, gen_panel,
                         gen_sphere_vector, gen_texture, gen_toeplitz_scatter)
+from maxvariety.robust import _sym_sqrt
 
 
 def test_toeplitz_scatter_small_cases():
@@ -132,6 +134,63 @@ def test_gen_panel_covariance_shrinks_toward_scatter():
         target = panel.true_scatter * 10.0 / np.trace(panel.true_scatter)
         errors.append(np.linalg.norm(cov - target, 2))
     assert errors[1] < errors[0]
+
+
+def _loop_gen_panel_returns(spec):
+    # reference: the generator drawing one sphere vector per observation
+    rng = np.random.default_rng(spec.seed)
+    if spec.K > 0:
+        basis, _ = np.linalg.qr(rng.standard_normal((spec.m, spec.K)))
+        loadings = spec.factor_snr * basis
+    else:
+        loadings = np.zeros((spec.m, 0))
+    factors = rng.standard_normal((spec.K, spec.N))
+    textures = gen_texture(spec.nu, spec.N, rng)
+    directions = np.empty((spec.m, spec.N))
+    for t in range(spec.N):
+        directions[:, t] = gen_sphere_vector(spec.m, rng)
+    half = _sym_sqrt(gen_toeplitz_scatter(spec.m, spec.rho))
+    noise = np.sqrt(textures)[None, :] * (half @ directions)
+    return loadings @ factors + noise
+
+
+@pytest.mark.parametrize("m, n, k, seed", [
+    (1, 30, 0, 0), (2, 7, 1, 4), (15, 200, 3, 9), (40, 295, 0, 10001),
+    (100, 1000, 0, 10000), (100, 1000, 3, 10002)])
+def test_gen_panel_is_bit_identical_to_per_observation_draws(m, n, k, seed):
+    spec = FactorModelSpec(m=m, N=n, K=k, rho=0.8, nu=0.5, factor_snr=10.0,
+                           seed=seed)
+    np.testing.assert_array_equal(gen_panel(spec).returns,
+                                  _loop_gen_panel_returns(spec))
+
+
+def test_gen_panel_redraws_an_all_zero_direction(monkeypatch):
+    # a block row that is exactly zero has no direction; it is replaced by
+    # a fresh unit vector drawn after the block
+    default_rng = np.random.default_rng
+
+    class ZeroedBlockRow:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def standard_normal(self, size):
+            draws = self.rng.standard_normal(size)
+            if np.ndim(draws) == 2 and np.shape(draws)[0] == 25:
+                draws[3] = 0.0
+            return draws
+
+    monkeypatch.setattr(market_model.np.random, "default_rng",
+                        ZeroedBlockRow)
+    spec = FactorModelSpec(m=6, N=25, K=0, rho=0.4, nu=0.5, seed=3)
+    panel = gen_panel(spec)
+    vals, vecs = np.linalg.eigh(panel.true_scatter)
+    unwind = (vecs / np.sqrt(vals)) @ vecs.T
+    directions = (unwind @ panel.returns) / np.sqrt(panel.textures)[None, :]
+    np.testing.assert_allclose(np.linalg.norm(directions, axis=0), 1.0,
+                               atol=1e-10)
 
 
 def test_spec_validation():

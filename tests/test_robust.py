@@ -144,6 +144,140 @@ def test_tyler_step_matches_lu_reference(k):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def test_tyler_step_buffers_change_no_bit():
+    returns = _noise_panel(20, 200, rho=0.8, nu=0.5, seed=3).returns
+    white, scaled = np.empty((20, 200)), np.empty((20, 200))
+    current = gen_toeplitz_scatter(20, 0.5)
+    want = _tyler_step(returns, current)
+    for _ in range(2):
+        got = _tyler_step(returns, current, white, scaled)
+        np.testing.assert_array_equal(got, want)
+
+
+def _plain_tyler(panel, cfg=TylerConfig()):
+    # reference loop: plain fixed-point sweeps from the identity, no mixing
+    m = panel.shape[0]
+    current = np.eye(m)
+    for sweeps in range(1, cfg.max_iter + 1):
+        update = _lu_tyler_step(panel, current)
+        update *= m / np.trace(update)
+        residual = (np.linalg.norm(update - current)
+                    / np.linalg.norm(current))
+        current = update
+        if residual < cfg.tol:
+            return current, sweeps
+    raise AssertionError("reference loop did not converge")
+
+
+def _counting_sweeps(monkeypatch, reject=()):
+    # route every sweep through a recorder; the calls numbered in
+    # ``reject`` (from 1) fail as a sweep at an indefinite iterate does
+    calls = []
+    step = robust._tyler_step
+
+    def recorded(*args):
+        calls.append(args[1].copy())
+        if len(calls) in reject:
+            raise SingularMatrixError("scatter iterate lost positive "
+                                      "definiteness")
+        return step(*args)
+
+    monkeypatch.setattr(robust, "_tyler_step", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("m", [20, 100])
+@pytest.mark.parametrize("k", [0, 3])
+def test_tyler_agrees_with_plain_loop_in_fewer_sweeps(monkeypatch, m, k):
+    returns = gen_panel(FactorModelSpec(m=m, N=10 * m, K=k, rho=0.8, nu=0.5,
+                                        factor_snr=10.0, seed=k)).returns
+    want, plain_sweeps = _plain_tyler(returns)
+    calls = _counting_sweeps(monkeypatch)
+    got = tyler(returns).values
+    assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
+    assert len(calls) < plain_sweeps
+    np.testing.assert_array_equal(got, got.T)
+
+
+def _sweep(panel, current):
+    update = _tyler_step(panel, current)
+    return update * (panel.shape[0] / np.trace(update))
+
+
+def _secant(before, swept_before, current, swept):
+    # Anderson step from a single difference: the combination of the two
+    # sweeps whose residuals combine to the least Frobenius norm
+    f, d_f = swept - current, (swept - current) - (swept_before - before)
+    gamma = np.sum(d_f * f) / np.sum(d_f * d_f)
+    mixed = swept - gamma * (swept - swept_before)
+    return mixed * (mixed.shape[0] / np.trace(mixed))
+
+
+def test_tyler_falls_back_to_plain_sweep_when_mixing_fails(monkeypatch):
+    returns = gen_panel(FactorModelSpec(m=40, N=400, K=3, rho=0.8, nu=0.5,
+                                        factor_snr=10.0, seed=5)).returns
+    want, _ = _plain_tyler(returns)
+    first = _sweep(returns, np.eye(40))
+    second = _sweep(returns, first)
+    fourth = _sweep(returns, second)
+    calls = _counting_sweeps(monkeypatch, reject={3})
+    got = tyler(returns).values
+    # sweeps 1 and 2 are plain and sweep 3 is the first mixed iterate; after
+    # its rejection sweep 4 restarts from sweep 2's output, and sweep 5
+    # mixes sweeps 2 and 4 alone: the history before the failure is gone
+    mixed = _secant(np.eye(40), first, first, second)
+    assert np.linalg.norm(calls[2] - mixed) <= 1e-10 * np.linalg.norm(mixed)
+    np.testing.assert_array_equal(calls[3], second)
+    restart = _secant(first, second, second, fourth)
+    assert (np.linalg.norm(calls[4] - restart)
+            <= 1e-10 * np.linalg.norm(restart))
+    assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
+    assert fixed_point_residual(returns, got) < 1e-7
+
+
+@pytest.mark.filterwarnings("error")
+def test_anderson_history_drops_repeated_or_collinear_residuals():
+    history = robust._Anderson(3)
+    sweep = np.array([1.0, 2.0, 3.0])
+    assert history.mix(np.array([1.0, 0.0, 0.0]), sweep) is None
+    assert history.mix(np.array([0.5, 1.0, 0.0]), sweep) is not None
+    # a residual equal to the last one gives a zero difference
+    assert history.mix(np.array([0.5, 1.0, 0.0]), sweep) is None
+    assert history.count == 0
+    assert history.mix(np.array([0.25, 0.5, 0.0]), sweep) is not None
+    # a difference parallel to the stored one leaves the Gram matrix
+    # singular
+    assert history.mix(np.array([0.0, 0.0, 0.0]), sweep) is None
+    assert history.count == 0
+
+
+@pytest.mark.parametrize("reject", [{1}, {3, 4}])
+def test_tyler_failure_at_a_plain_iterate_raises(monkeypatch, reject):
+    # sweep 1 runs at the identity; sweep 4 at the plain sweep 2 that the
+    # rejected mixed sweep 3 falls back to
+    returns = _noise_panel(20, 200, rho=0.6, nu=0.5, seed=13).returns
+    _counting_sweeps(monkeypatch, reject=reject)
+    with pytest.raises(SingularMatrixError, match="positive definite"):
+        tyler(returns)
+
+
+def test_tyler_nonconvergence_carries_the_last_plain_sweep(monkeypatch):
+    returns = gen_panel(FactorModelSpec(m=40, N=400, K=3, rho=0.8, nu=0.5,
+                                        factor_snr=10.0, seed=6)).returns
+    calls = _counting_sweeps(monkeypatch)
+    with pytest.raises(ConvergenceError) as info:
+        tyler(returns, TylerConfig(max_iter=6, tol=1e-12))
+    assert len(calls) == 6
+    last = _sweep(returns, calls[-1])
+    iterate = info.value.iterate
+    np.testing.assert_array_equal(iterate, last)
+    np.testing.assert_array_equal(iterate, iterate.T)
+    assert np.linalg.eigvalsh(iterate).min() > 0.0
+    assert info.value.residual == pytest.approx(
+        np.linalg.norm(last - calls[-1]) / np.linalg.norm(calls[-1]),
+        rel=1e-12)
+
+
 def test_fixed_point_residual_rejects_indefinite_scatter():
     rng = np.random.default_rng(9)
     panel = rng.standard_normal((5, 40))
