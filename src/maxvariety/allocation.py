@@ -10,7 +10,8 @@ Maximizing the ratio is the same problem as long-only minimum variance on
 the correlation matrix (Choueifaty & Coignard 2008), a convex QP with an
 exact finite solution.  One active-set solver finds it, and
 ``optimize_variety`` certifies the result: the first-order residual of
-projected gradient ascent on the log ratio must stay within ``kkt_tol``.
+projected gradient ascent on the log ratio, in risk units, must stay within
+``kkt_tol``.
 """
 
 from __future__ import annotations
@@ -159,27 +160,76 @@ class OptimizationResult:
 
 
 def _kkt_residual(w: np.ndarray, cov: CovarianceInput) -> float:
-    """Fixed-point defect of projected gradient ascent on the log ratio."""
-    sig_w = cov.sigma @ w
-    grad = cov.vols / float(w @ cov.vols) - sig_w / float(w @ sig_w)
-    return float(np.abs(_project(w + grad) - w).max())
+    """Fixed-point defect of projected gradient ascent on the log ratio,
+    measured in risk units.
+
+    The defect is taken at ``z = w s / (w . s)`` against the correlation
+    matrix ``R`` with unit volatilities, where the log ratio's gradient is
+    ``1 / (1' z) - R z / (z' R z)``.  Rescaling an asset changes ``Sigma``,
+    ``s`` and ``w`` but neither ``z`` nor ``R``, so the residual moves
+    only by rounding.  ``R z`` is taken as ``(Sigma w) / (s (w . s))``, so
+    ``R`` is not formed again.
+    """
+    exposure = float(w @ cov.vols)
+    z = w * cov.vols / exposure
+    corr_z = (cov.sigma @ w) / (cov.vols * exposure)
+    grad = 1.0 / z.sum() - corr_z / float(z @ corr_z)
+    return float(np.abs(_project(z + grad) - z).max())
+
+
+def _face_minimizer(kkt: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """A solution of ``kkt x = e`` (``e`` the last unit vector) by the
+    accept rule stated in ``_active_set``."""
+    n = kkt.shape[0]
+    rhs = np.zeros((n, 2))
+    rhs[-1, 0] = 1.0
+    rhs[:, 1] = probe[:n]
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        x, y = sol.T
+        if (np.isfinite(sol).all()
+                and np.abs(kkt @ x - rhs[:, 0]).max()
+                <= 1e-10 * max(1.0, np.abs(x).max())
+                and n * np.finfo(float).eps * np.abs(y).max() <= 1e-6):
+            return x
+    return np.linalg.lstsq(kkt, rhs[:, 0], rcond=None)[0]
 
 
 def _active_set(corr: np.ndarray) -> tuple[np.ndarray, int]:
     """Exact minimizer of ``z' R z`` on the simplex, and the steps taken.
 
     A primal active-set walk from the uniform full support.  Each step
-    minimizes over the current face through its KKT system
-    ``R_FF z_F = mu 1``, ``1' z_F = 1``, solved by least squares so that a
-    singular ``R`` (fewer observations than assets, duplicated assets)
-    still yields a face minimizer.  If that target leaves the simplex, the
-    iterate moves toward it until the first coordinate reaches zero, and
-    that coordinate leaves the face.  Otherwise the iterate takes the
-    target, and the lowest outside index whose gradient undercuts the
-    multiplier enters (Bland's rule, against cycling on degenerate faces).
-    A face minimizer with no such index is the global minimum.
+    minimizes over the current face of ``f`` assets through its KKT system
+    ``K [z_F; mu] = e``, with ``K = [[R_FF, 1], [1', 0]]`` and ``e`` the
+    last unit vector.  If that target leaves the simplex, the iterate moves
+    toward it until the first coordinate reaches zero, and that coordinate
+    leaves the face.  Otherwise the iterate takes the target, and the
+    lowest outside index whose gradient undercuts the multiplier enters
+    (Bland's rule, against cycling on degenerate faces).  A face minimizer
+    with no such index is the global minimum.
+
+    The face system is solved by one LU factorisation, which also solves
+    ``K y = r`` for the fixed vector ``r_i = sin(i + 1)``.  Its entries are
+    irregular, so ``r`` is nearly orthogonal to the direction of
+    ``sigma_min`` only by accident, and ``max |y|`` estimates
+    ``1 / sigma_min(K)``, as a random ``r`` does (Dixon 1983).  The LU
+    result ``x`` is taken when the solve raises no ``LinAlgError``, ``x``
+    and ``y`` are finite, ``max |K x - e| <= 1e-10 max(1, max |x|)``, and
+    ``(f + 1) eps max |y| <= 1e-6``.  As ``sigma_max(K) <= f + 1`` for
+    correlations, the last test keeps LU, with a wide margin, only where
+    least squares with its ``rcond = (f + 1) eps`` cutoff would cut no
+    singular value, so both find the one face minimizer.  Any other face,
+    singular or nearly so (fewer observations than assets, duplicated
+    assets, zero-variance portfolios), is solved by least squares, whose
+    minimum-norm solution is still a face minimizer.  On such a face ``e``
+    is still in the range of ``K``, so ``x`` stays bounded but is arbitrary
+    along the null space; only ``y`` reveals it.
     """
     m = corr.shape[0]
+    probe = np.sin(np.arange(1.0, m + 2.0))
     z = np.full(m, 1.0 / m)
     free = np.ones(m, dtype=bool)
     cap = 8 * m + 16
@@ -189,9 +239,7 @@ def _active_set(corr: np.ndarray) -> tuple[np.ndarray, int]:
         kkt = np.ones((f + 1, f + 1))
         kkt[:f, :f] = corr[np.ix_(idx, idx)]
         kkt[f, f] = 0.0
-        rhs = np.zeros(f + 1)
-        rhs[f] = 1.0
-        target = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:f]
+        target = _face_minimizer(kkt, probe)[:f]
         blocked = np.flatnonzero(target < 0.0)
         if blocked.size:
             current = z[idx]
@@ -222,9 +270,11 @@ def min_variance_variety_weights(cov) -> WeightVector:
     risk-unit coordinates ``z_i = w_i s_i / (w . s)`` where ``R`` is the
     correlation matrix (Choueifaty & Coignard 2008), then mapping back
     through ``w_i = z_i / s_i`` and renormalizing.  The inner convex QP is
-    solved exactly by an active-set walk; ``steps`` on the result counts
-    its steps.  Raises DegenerateDataError when the minimum variance is zero
-    to rounding: the variety ratio is then unbounded on the simplex.
+    solved exactly by an active-set walk, each face by one LU solve and
+    by least squares only where that face is singular; ``steps`` on the
+    result counts its steps.  Raises DegenerateDataError when the minimum
+    variance is zero to rounding: the variety ratio is then unbounded on
+    the simplex.
     """
     cov = _as_cov(cov)
     corr = cov.sigma / np.outer(cov.vols, cov.vols)
@@ -242,8 +292,9 @@ def min_variance_variety_weights(cov) -> WeightVector:
 def optimize_variety(cov, config: OptimizerConfig | None = None) -> OptimizationResult:
     """Maximize the variety ratio over the simplex; full diagnostics.
 
-    Raises ConvergenceError when the first-order residual of the solve
-    exceeds ``kkt_tol``.
+    ``kkt_residual`` is the first-order residual of the solve in risk
+    units (see ``_kkt_residual``), so rescaling assets leaves it in place.
+    Raises ConvergenceError when it exceeds ``kkt_tol``.
     """
     cov = _as_cov(cov)
     cfg = config or OptimizerConfig()

@@ -6,8 +6,10 @@ maximum-variety weights), ``backtest`` (rolling backtest over a price CSV),
 and ``mc-order`` (Monte Carlo tally of selected model orders).
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data/ingestion
-error, 3 numerical failure.  Every output file is written to a temporary
-name and renamed into place, so partial outputs are never left behind.
+error, 3 numerical failure.  An ``--out`` that is, or lies below, an
+existing file is refused before any input is read.  Every output file is
+written to a temporary name and renamed into place, so partial outputs are
+never left behind.
 Identical inputs give byte-identical outputs; ``synth`` and ``mc-order``,
 the only subcommands that draw random numbers, take them from ``--seed``.
 """
@@ -124,6 +126,22 @@ def _atomic_via(path: Path, writer) -> None:
 def _atomic_write_json(path: Path, payload) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     _atomic_via(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+
+
+def _check_out(out: Path) -> None:
+    """Refuse an output directory that cannot be made, before any work.
+
+    ``out``, or its nearest existing ancestor, must be a directory.  The
+    check creates nothing; other failures (permissions, a full disk) still
+    surface when the outputs are written.
+    """
+    for path in (out, *out.parents):
+        if os.path.exists(path):
+            if not os.path.isdir(path):
+                raise UsageError(
+                    f"cannot create output directory {out}: {path} is not "
+                    f"a directory")
+            return
 
 
 def _out_dir(args) -> Path:
@@ -477,6 +495,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_out(Path(args.out))
         args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 
-from maxvariety import (CovarianceInput, DegenerateDataError, ParameterError,
-                        WeightVector)
+from maxvariety import (ConvergenceError, CovarianceInput, DegenerateDataError,
+                        ParameterError, WeightVector)
 
 
 def _lattice_blocks(m: int, ticks: int):
@@ -68,3 +68,41 @@ def brute_force_vr(sigma, step: float) -> WeightVector:
     if best_w is None:
         raise DegenerateDataError("no lattice point had positive variance")
     return WeightVector(best_w)
+
+
+def active_set_lstsq(corr: np.ndarray) -> tuple[np.ndarray, int]:
+    """Minimizer of ``z' R z`` on the simplex and its step count: the
+    active-set walk of ``allocation._active_set`` with every face system
+    solved by least squares (an SVD solve)."""
+    m = corr.shape[0]
+    z = np.full(m, 1.0 / m)
+    free = np.ones(m, dtype=bool)
+    cap = 8 * m + 16
+    for step in range(1, cap + 1):
+        idx = np.flatnonzero(free)
+        f = idx.size
+        kkt = np.ones((f + 1, f + 1))
+        kkt[:f, :f] = corr[np.ix_(idx, idx)]
+        kkt[f, f] = 0.0
+        rhs = np.zeros(f + 1)
+        rhs[f] = 1.0
+        target = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:f]
+        blocked = np.flatnonzero(target < 0.0)
+        if blocked.size:
+            current = z[idx]
+            shares = current[blocked] / (current[blocked] - target[blocked])
+            first = int(np.argmin(shares))
+            z[idx] = np.maximum(
+                current + shares[first] * (target - current), 0.0)
+            z[idx[blocked[first]]] = 0.0
+            free[idx[blocked[first]]] = False
+            continue
+        z[idx] = target
+        gradient = corr @ z
+        multiplier = float(z @ gradient)
+        entering = np.flatnonzero(~free & (gradient < multiplier - 1e-12))
+        if entering.size == 0:
+            return z, step
+        free[entering[0]] = True
+    raise ConvergenceError(
+        f"active-set solve did not settle within {cap} steps", iterate=z)

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from maxvariety import (ConvergenceError, CovarianceInput, DegenerateDataError,
-                        FactorModelSpec, MaxVarietyError, OptimizerConfig,
-                        ParameterError, WeightVector, gen_panel,
-                        maximize_variety, min_variance_variety_weights,
-                        optimize_variety, scm, variety_ratio)
-from maxvariety.allocation import _project
-from oracles import brute_force_vr
+from maxvariety import (CleanConfig, ConvergenceError, CovarianceInput,
+                        DegenerateDataError, FactorModelSpec, MaxVarietyError,
+                        OptimizerConfig, ParameterError, WeightVector,
+                        clean_covariance, gen_panel, maximize_variety,
+                        min_variance_variety_weights, optimize_variety, scm,
+                        variety_ratio)
+from maxvariety.allocation import _active_set, _project
+from oracles import active_set_lstsq, brute_force_vr
 
 
 def _random_spd(m, rng, spread=3.0):
@@ -218,6 +219,18 @@ def test_optimizer_agrees_with_min_variance_form():
             variety_ratio(b, sigma), abs=1e-6)
 
 
+def _correlations(sigma):
+    cov = CovarianceInput.from_covariance(sigma)
+    return cov.sigma / np.outer(cov.vols, cov.vols)
+
+
+def _spiked_covariance(rng, m=40):
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    eigs = np.concatenate([[50.0, 30.0], np.full(m - 2, 3e-3)])
+    sigma = (q * eigs) @ q.T
+    return 0.5 * (sigma + sigma.T)
+
+
 def _enumerate_simplex_qp(corr):
     """Exact minimum of z'Rz on the simplex by support enumeration.
 
@@ -263,11 +276,7 @@ def test_optimizer_on_spiked_ill_conditioned_covariance():
     # a cleaned covariance looks like a few strong factors over a thin
     # noise floor; the flat faces this creates must not stall the solver
     rng = np.random.default_rng(53)
-    m = 40
-    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-    eigs = np.concatenate([[50.0, 30.0], np.full(m - 2, 3e-3)])
-    sigma = (q * eigs) @ q.T
-    sigma = 0.5 * (sigma + sigma.T)
+    sigma = _spiked_covariance(rng)
     result = optimize_variety(sigma)
     assert result.kkt_residual < 1e-8
     check = min_variance_variety_weights(sigma)
@@ -309,6 +318,106 @@ def test_optimizer_on_duplicated_asset(scale):
     result = optimize_variety(sigma)
     assert result.kkt_residual <= 1e-8
     assert result.variety_ratio >= _sampler_max(sigma, rng)
+
+
+def _assert_same_walk(corr):
+    want_z, want_steps = active_set_lstsq(corr)
+    got_z, got_steps = _active_set(corr)
+    np.testing.assert_allclose(got_z, want_z, rtol=0.0, atol=1e-10)
+    assert got_steps == want_steps
+
+
+@pytest.mark.parametrize("m", [5, 17, 40, 77, 120])
+def test_active_set_agrees_with_least_squares_walk(m):
+    rng = np.random.default_rng(60 + m)
+    for _ in range(3):
+        _assert_same_walk(_correlations(_random_spd(m, rng)))
+
+
+def test_active_set_agrees_with_least_squares_walk_when_ill_conditioned():
+    _assert_same_walk(_correlations(_spiked_covariance(
+        np.random.default_rng(53))))
+    panel = gen_panel(FactorModelSpec(m=100, N=1000, K=3, rho=0.8, nu=0.5,
+                                      factor_snr=10.0, seed=10002))
+    report = clean_covariance(panel.returns, CleanConfig(demean=False))
+    assert report.k_hat == 3
+    corr = _correlations(report.denoised)
+    assert np.linalg.cond(corr) > 1e5
+    _assert_same_walk(corr)
+
+
+def test_well_conditioned_faces_need_no_least_squares(monkeypatch):
+    sigma = _random_spd(30, np.random.default_rng(61))
+    want_z, want_steps = active_set_lstsq(_correlations(sigma))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("least squares called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    result = optimize_variety(sigma)
+    assert result.iterations == want_steps > 1
+    vols = np.sqrt(np.diag(sigma))
+    want_w = want_z / vols
+    np.testing.assert_allclose(result.weights.weights, want_w / want_w.sum(),
+                               rtol=0.0, atol=1e-10)
+
+
+def _duplicated_asset(scale):
+    returns = np.random.default_rng(55).standard_normal((10, 200))
+    return scm(np.vstack([returns, scale * returns[3]])).values
+
+
+def _scm_of(m, n, seed):
+    return scm(gen_panel(FactorModelSpec(m=m, N=n, K=0, rho=0.5, nu=1.0,
+                                         seed=seed)).returns).values
+
+
+@pytest.mark.parametrize("sigma", [
+    pytest.param(_duplicated_asset(1.0), id="duplicate"),
+    pytest.param(_duplicated_asset(3.0), id="scaled-duplicate"),
+    pytest.param(_scm_of(40, 20, 0), id="scm-m40-N20"),
+    pytest.param(_scm_of(12, 4, 2), id="zero-variance-m12-N4"),
+    pytest.param(_scm_of(36, 12, 0), id="zero-variance-m36-N12-seed0"),
+    pytest.param(_scm_of(36, 12, 2), id="zero-variance-m36-N12-seed2"),
+])
+def test_singular_faces_fall_back_to_least_squares(monkeypatch, sigma):
+    corr = _correlations(sigma)
+    want_z, want_steps = active_set_lstsq(corr)
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    got_z, got_steps = _active_set(corr)
+    assert calls
+    np.testing.assert_allclose(got_z, want_z, rtol=0.0, atol=1e-10)
+    assert got_steps == want_steps
+
+
+@pytest.mark.parametrize("decades", [12.0, 14.0])
+def test_certificate_does_not_move_with_asset_scales(decades):
+    # volatilities spread over 12 or 14 decades: the solve on correlations
+    # is unaffected, and so must be the risk-unit certificate
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        sample = np.cov(rng.standard_normal((10, 40)))
+        vols = np.sqrt(np.diag(sample))
+        corr = sample / np.outer(vols, vols)
+        corr = 0.5 * (corr + corr.T)
+        scales = 10.0 ** rng.uniform(-decades / 2, decades / 2, size=10)
+        sigma = corr * np.outer(scales, scales)
+        result = optimize_variety(sigma)
+        z_star = _enumerate_simplex_qp(_correlations(sigma))
+        w_star = z_star / np.sqrt(np.diag(sigma))
+        np.testing.assert_allclose(result.weights.weights,
+                                   w_star / w_star.sum(), rtol=1e-8, atol=0.0)
+        rescale = 10.0 ** rng.uniform(-decades / 2, decades / 2, size=10)
+        moved = optimize_variety(sigma * np.outer(rescale, rescale))
+        assert moved.kkt_residual == pytest.approx(result.kkt_residual,
+                                                   abs=1e-13)
 
 
 def test_covariance_input_rejects_non_finite_entries():

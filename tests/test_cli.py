@@ -12,6 +12,7 @@ import pytest
 from maxvariety import (FactorModelSpec, UsageError, demean_rows, gen_panel,
                         mp_upper_bound, order_threshold, tyler)
 import maxvariety.cli as cli
+import maxvariety.errors as errors
 from maxvariety.cli import main
 
 
@@ -511,3 +512,72 @@ def test_clean_output_blocked_by_a_directory_is_usage_error(tmp_path, capsys):
     assert code == 1
     assert str(out / "report.json") in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def _refuse_input(*args, **kwargs):
+    raise AssertionError("input read before --out was checked")
+
+
+def test_unusable_out_is_refused_before_input_is_read(tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setattr(cli, "load_returns_csv", _refuse_input)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    returns = tmp_path / "absent.csv"
+    for argv, out in ((["clean", "--input", str(returns)], blocker / "x"),
+                      (["allocate", "--input", str(returns)], blocker)):
+        assert _run(*argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: cannot create output directory")
+        assert str(out) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+
+
+def test_zero_variance_allocation_is_numerical_error(tmp_path, capsys):
+    returns = _synth_returns(tmp_path, m=12, N=4, K=0, rho=0.5, nu=1.0,
+                             seed=2)
+    out = tmp_path / "alloc"
+    code = _run("allocate", "--input", str(returns), "--estimator", "scm",
+                "--no-demean", "--out", str(out))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and "zero variance" in err
+    assert not out.exists()
+
+
+def _error_classes(base=errors.MaxVarietyError):
+    return [base] + [sub for cls in base.__subclasses__()
+                     for sub in _error_classes(cls)]
+
+
+_EXIT_CODES = {
+    errors.MaxVarietyError: (1, "error: "),
+    errors.ParameterError: (1, "error: "),
+    errors.UsageError: (1, "usage error: "),
+    errors.InsufficientSamplesError: (1, "error: "),
+    errors.IngestionError: (2, "data error: "),
+    errors.NumericalError: (3, "numerical error: "),
+    errors.SingularMatrixError: (3, "numerical error: "),
+    errors.DegenerateDataError: (3, "numerical error: "),
+    errors.DegenerateSpectrumError: (3, "numerical error: "),
+    errors.ConvergenceError: (3, "numerical error: "),
+}
+
+
+def test_exit_code_table_names_every_error_class():
+    assert set(_error_classes()) == set(_EXIT_CODES)
+
+
+@pytest.mark.parametrize("error", list(_EXIT_CODES),
+                         ids=lambda cls: cls.__name__)
+def test_each_error_class_maps_to_its_exit_code(tmp_path, capsys,
+                                                monkeypatch, error):
+    def fail(args):
+        raise error("planted failure")
+
+    monkeypatch.setattr(cli, "cmd_allocate", fail)
+    code = _run("allocate", "--input", "in.csv",
+                "--out", str(tmp_path / "out"))
+    status, prefix = _EXIT_CODES[error]
+    assert code == status
+    assert capsys.readouterr().err == f"{prefix}planted failure\n"
