@@ -177,25 +177,29 @@ def _kkt_residual(w: np.ndarray, cov: CovarianceInput) -> float:
     return float(np.abs(_project(z + grad) - z).max())
 
 
-def _face_minimizer(kkt: np.ndarray, probe: np.ndarray) -> np.ndarray:
+def _face_minimizer(kkt: np.ndarray, probe: np.ndarray,
+                    try_lu: bool) -> tuple[np.ndarray, int]:
     """A solution of ``kkt x = e`` (``e`` the last unit vector) by the
-    accept rule stated in ``_active_set``."""
+    accept rule stated in ``_active_set``, and the numerical nullity of
+    ``kkt`` that least squares found (0 when the LU result was taken)."""
     n = kkt.shape[0]
     rhs = np.zeros((n, 2))
     rhs[-1, 0] = 1.0
     rhs[:, 1] = probe[:n]
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        pass
-    else:
-        x, y = sol.T
-        if (np.isfinite(sol).all()
-                and np.abs(kkt @ x - rhs[:, 0]).max()
-                <= 1e-10 * max(1.0, np.abs(x).max())
-                and n * np.finfo(float).eps * np.abs(y).max() <= 1e-6):
-            return x
-    return np.linalg.lstsq(kkt, rhs[:, 0], rcond=None)[0]
+    if try_lu:
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            x, y = sol.T
+            if (np.isfinite(sol).all()
+                    and np.abs(kkt @ x - rhs[:, 0]).max()
+                    <= 1e-10 * max(1.0, np.abs(x).max())
+                    and n * np.finfo(float).eps * np.abs(y).max() <= 1e-6):
+                return x, 0
+    x, _, rank, _ = np.linalg.lstsq(kkt, rhs[:, 0], rcond=None)
+    return x, n - rank
 
 
 def _active_set(corr: np.ndarray) -> tuple[np.ndarray, int]:
@@ -227,11 +231,19 @@ def _active_set(corr: np.ndarray) -> tuple[np.ndarray, int]:
     minimum-norm solution is still a face minimizer.  On such a face ``e``
     is still in the range of ``K``, so ``x`` stays bounded but is arbitrary
     along the null space; only ``y`` reveals it.
+
+    Dropping an asset removes one row and column of the symmetric ``K``,
+    which by Cauchy interlacing lowers its count of near-zero eigenvalues
+    by at most one.  So after least squares finds a face of numerical
+    nullity ``d >= 2``, the next drop is singular too and goes straight to
+    least squares, without an LU attempt that would be refused (its cutoff
+    sits ~1e6 below the LU accept limit).  An entering asset ends the skip.
     """
     m = corr.shape[0]
     probe = np.sin(np.arange(1.0, m + 2.0))
     z = np.full(m, 1.0 / m)
     free = np.ones(m, dtype=bool)
+    nullity = 0
     cap = 8 * m + 16
     for step in range(1, cap + 1):
         idx = np.flatnonzero(free)
@@ -239,7 +251,8 @@ def _active_set(corr: np.ndarray) -> tuple[np.ndarray, int]:
         kkt = np.ones((f + 1, f + 1))
         kkt[:f, :f] = corr[np.ix_(idx, idx)]
         kkt[f, f] = 0.0
-        target = _face_minimizer(kkt, probe)[:f]
+        target, nullity = _face_minimizer(kkt, probe, try_lu=nullity < 2)
+        target = target[:f]
         blocked = np.flatnonzero(target < 0.0)
         if blocked.size:
             current = z[idx]
@@ -257,6 +270,7 @@ def _active_set(corr: np.ndarray) -> tuple[np.ndarray, int]:
         if entering.size == 0:
             return z, step
         free[entering[0]] = True
+        nullity = 0
     raise ConvergenceError(
         f"active-set solve did not settle within {cap} steps",
         iterate=z)

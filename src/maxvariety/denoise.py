@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (DegenerateDataError, DegenerateSpectrumError,
                      InsufficientSamplesError, ParameterError)
 from .robust import (ScatterMatrix, TylerConfig, demean_rows, inv_sqrt,
-                     toeplitzify, tyler, _as_matrix, _check_panel, _sym_sqrt)
+                     toeplitzify, tyler, _as_matrix, _check_panel)
 
 # False-alarm level of the order test and the matching upper quantile of
 # the Tracy-Widom law TW1, i.e. P(TW1 > TW1_QUANTILE) = ORDER_ALPHA.
@@ -181,8 +181,15 @@ def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport
     ``select_order(report.spectrum, report.lambda_bar)``.  The second Tyler
     pass starts at ``W C1 W`` (``W`` the whitener, ``C1`` the first pass),
     where affine equivariance puts its fixed point; its one sweep and its
-    tolerance test certify that start on the whitened data.  Estimation errors
-    propagate; eigenvalue flooring is collected into the report's warnings.
+    tolerance test certify that start on the whitened data.  The cleaned
+    whitened scatter is coloured back by ``S W`` (``S`` the rectified noise
+    scatter), which equals ``S^{1/2}`` to rounding, so ``S`` is decomposed
+    once, inside ``inv_sqrt``.  Where ``inv_sqrt`` floors an eigenvalue
+    ``lambda`` of ``S`` to ``f``, the colour takes ``lambda / sqrt(f)``
+    along that eigenvector instead of ``sqrt(lambda)``; the result is still
+    a congruence of a PSD matrix, rescaled to the sample variances.
+    Estimation errors propagate; eigenvalue flooring is collected into the
+    report's warnings.
     """
     cfg = config or CleanConfig()
     panel = _check_panel(panel)
@@ -221,8 +228,9 @@ def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport
     clipped = clip_spectrum(spectrum.eigenvalues, k_hat)
 
     cleaned_white = (spectrum.eigenvectors * clipped) @ spectrum.eigenvectors.T
-    color = _sym_sqrt(noise_scatter)
-    scatter_shape = color @ cleaned_white @ color
+    # S W is S^{1/2} to rounding, so S is decomposed once, in inv_sqrt
+    color = noise_scatter @ whitener
+    scatter_shape = color @ cleaned_white @ color.T
     scale = np.sqrt(sample_var / np.diag(scatter_shape))
     denoised = scatter_shape * np.outer(scale, scale)
     denoised = 0.5 * (denoised + denoised.T)

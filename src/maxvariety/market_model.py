@@ -10,6 +10,7 @@ Gaussian) while leaving its scatter shape equal to ``C``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,15 +102,27 @@ def gen_sphere_vector(m: int, rng: np.random.Generator) -> np.ndarray:
             return g / norm
 
 
+@functools.lru_cache(maxsize=4)
+def _noise_root(m: int, rho: float) -> np.ndarray:
+    """``C^{1/2}`` of ``gen_toeplitz_scatter(m, rho)``, computed once per
+    ``(m, rho)`` and returned read-only, since every caller shares it."""
+    root = _sym_sqrt(gen_toeplitz_scatter(m, rho))
+    root.flags.writeable = False
+    return root
+
+
 def gen_panel(spec: FactorModelSpec) -> SyntheticPanel:
     """Draw a full synthetic panel for the given spec.
 
     Deterministic for a fixed seed.  Draw order: loadings, factor scores,
-    textures, noise directions.
+    textures, noise directions.  The noise root ``C^{1/2}`` depends only
+    on ``(m, rho)``, so it comes from a small cache of read-only arrays
+    (one eigendecomposition per ``(m, rho)`` in a process, not one per
+    panel); ``true_scatter`` is a fresh array for each panel.
     """
     rng = np.random.default_rng(spec.seed)
     scatter = gen_toeplitz_scatter(spec.m, spec.rho)
-    scatter_half = _sym_sqrt(scatter)
+    scatter_half = _noise_root(spec.m, spec.rho)
 
     if spec.K > 0:
         raw = rng.standard_normal((spec.m, spec.K))
@@ -121,12 +134,13 @@ def gen_panel(spec: FactorModelSpec) -> SyntheticPanel:
     textures = gen_texture(spec.nu, spec.N, rng)
 
     # One block of the draws gen_sphere_vector would take one observation at
-    # a time; each row's norm is the same ddot that np.linalg.norm takes, so
-    # the directions are bit-identical to N calls of it.  A row that is
-    # exactly zero (at most about 2**-52 per draw) is redrawn after the
-    # block.
+    # a time.  The row norms come from one batched matmul of 1 x m by m x 1
+    # products, which sums each row as the ddot of np.linalg.norm does, so
+    # the directions are bit-identical to N calls of it (np.einsum is not).
+    # A row that is exactly zero (at most about 2**-52 per draw) is redrawn
+    # after the block.
     block = rng.standard_normal((spec.N, spec.m))
-    norms = np.sqrt([np.dot(row, row) for row in block])
+    norms = np.sqrt(np.matmul(block[:, None, :], block[:, :, None]).ravel())
     for t in np.flatnonzero(norms == 0.0):
         block[t], norms[t] = gen_sphere_vector(spec.m, rng), 1.0
     directions = np.divide(block.T, norms, out=np.empty((spec.m, spec.N)))

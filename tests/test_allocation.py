@@ -372,27 +372,42 @@ def _scm_of(m, n, seed):
                                          seed=seed)).returns).values
 
 
-@pytest.mark.parametrize("sigma", [
-    pytest.param(_duplicated_asset(1.0), id="duplicate"),
-    pytest.param(_duplicated_asset(3.0), id="scaled-duplicate"),
-    pytest.param(_scm_of(40, 20, 0), id="scm-m40-N20"),
-    pytest.param(_scm_of(12, 4, 2), id="zero-variance-m12-N4"),
-    pytest.param(_scm_of(36, 12, 0), id="zero-variance-m36-N12-seed0"),
-    pytest.param(_scm_of(36, 12, 2), id="zero-variance-m36-N12-seed2"),
-])
-def test_singular_faces_fall_back_to_least_squares(monkeypatch, sigma):
-    corr = _correlations(sigma)
-    want_z, want_steps = active_set_lstsq(corr)
+def _count_calls(monkeypatch, solver):
     calls = []
-    lstsq = np.linalg.lstsq
+    call = getattr(np.linalg, solver)
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape[0])
-        return lstsq(*args, **kwargs)
+        return call(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    monkeypatch.setattr(np.linalg, solver, counted)
+    return calls
+
+
+# each singular input and the LU solves its walk tries: a drop from a face
+# that least squares found to have nullity >= 2 skips LU.  The m=40 N=20
+# walk meets nullities 19, 18, ..., 1 on its first 19 faces, so only the
+# first of them and the 19 faces after them try LU.
+_SINGULAR = {
+    "duplicate": (_duplicated_asset(1.0), 1),
+    "scaled-duplicate": (_duplicated_asset(3.0), 1),
+    "scm-m40-N20": (_scm_of(40, 20, 0), 20),
+    "zero-variance-m12-N4": (_scm_of(12, 4, 2), 1),
+    "zero-variance-m36-N12-seed0": (_scm_of(36, 12, 0), 1),
+    "zero-variance-m36-N12-seed2": (_scm_of(36, 12, 2), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_SINGULAR))
+def test_singular_faces_fall_back_to_least_squares(monkeypatch, name):
+    sigma, lu_attempts = _SINGULAR[name]
+    corr = _correlations(sigma)
+    want_z, want_steps = active_set_lstsq(corr)
+    lstsq_calls = _count_calls(monkeypatch, "lstsq")
+    lu_calls = _count_calls(monkeypatch, "solve")
     got_z, got_steps = _active_set(corr)
-    assert calls
+    assert lstsq_calls
+    assert len(lu_calls) == lu_attempts
     np.testing.assert_allclose(got_z, want_z, rtol=0.0, atol=1e-10)
     assert got_steps == want_steps
 

@@ -451,6 +451,29 @@ def test_mc_order_table(tmp_path, capsys):
             table[:, 2], np.bincount(raw_orders, minlength=table.shape[0]))
 
 
+# Tables written by the code that decomposed the noise scatter once per
+# panel and per clean; caching that work must not move a count.
+_RECORDED_ORDER_TABLES = {
+    ("0", "1.0"): "k_hat,scm,tyler_raw,tyler_whitened\r\n0,0,0,6\r\n"
+                  "1,0,0,0\r\n2,0,0,0\r\n3,0,0,0\r\n4,0,0,0\r\n"
+                  "5,5,5,0\r\n6,1,1,0\r\n",
+    ("3", "0.6"): "k_hat,scm,tyler_raw,tyler_whitened\r\n0,0,0,0\r\n"
+                  "1,0,0,0\r\n2,0,0,0\r\n3,2,6,6\r\n4,3,0,0\r\n"
+                  "5,1,0,0\r\n",
+}
+
+
+@pytest.mark.parametrize("k, snr", list(_RECORDED_ORDER_TABLES))
+def test_mc_order_table_bytes_are_unchanged(tmp_path, k, snr):
+    out = tmp_path / "mc"
+    assert _run("mc-order", "--m", "30", "--N", "200", "--K", k,
+                "--rho", "0.6", "--nu", "0.5", "--factor-snr", snr,
+                "--trials", "6", "--seed", "40", "--no-demean",
+                "--out", str(out)) == 0
+    assert ((out / "order_frequencies.csv").read_bytes()
+            == _RECORDED_ORDER_TABLES[k, snr].encode())
+
+
 def test_mc_order_requires_trials(tmp_path, capsys):
     code = _run("mc-order", "--m", "10", "--N", "100", "--out", str(tmp_path))
     assert code == 1
@@ -468,6 +491,23 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_missing_required_flag_is_usage_error(capsys):
     assert _run("clean") == 1
     assert "--input" in capsys.readouterr().err
+
+
+def test_main_builds_one_parser_and_dispatches_by_name(tmp_path,
+                                                       monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    synth = ("synth", "--m", "3", "--N", "5", "--seed", "1", "--out")
+    assert _run(*synth, str(tmp_path / "a")) == 0
+    ran = []
+    monkeypatch.setattr(cli, "cmd_synth", ran.append)
+    assert _run(*synth, str(tmp_path / "b")) == 0
+    assert builds == [1]
+    assert [args.command for args in ran] == ["synth"]
+    assert not (tmp_path / "b").exists()
 
 
 def test_failed_json_write_leaves_no_temporary_file(tmp_path):

@@ -196,6 +196,40 @@ def test_clean_covariance_beats_raw_counting():
     assert report.k_hat <= 1
 
 
+def test_clean_covariance_decomposes_two_matrices(monkeypatch):
+    # the noise scatter once, inside inv_sqrt (the colour reuses its
+    # whitener), and the whitened scatter once
+    panel = gen_panel(FactorModelSpec(m=30, N=300, K=2, rho=0.6, nu=0.5,
+                                      factor_snr=8.0, seed=4)).returns
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: calls.append(a.shape) or eigh(a))
+    inv_sqrt = denoise.inv_sqrt
+    monkeypatch.setattr(denoise, "inv_sqrt",
+                        lambda *args: calls.append("inv_sqrt")
+                        or inv_sqrt(*args))
+    clean_covariance(panel, CleanConfig(demean=False))
+    assert calls == ["inv_sqrt", (30, 30), (30, 30)]
+
+
+def test_clean_covariance_with_a_floored_noise_eigenvalue():
+    # a floor at half the mean eigenvalue raises the small eigenvalues of
+    # the rho=0.8 noise scatter; the colour then departs from S^{1/2} along
+    # them, and the result must still be a covariance with the sample
+    # variances on its diagonal
+    panel = gen_panel(FactorModelSpec(m=20, N=300, K=1, rho=0.8, nu=0.5,
+                                      factor_snr=6.0, seed=8)).returns
+    report = clean_covariance(panel, CleanConfig(demean=False,
+                                                 eigen_floor=0.5))
+    assert any("floored" in note for note in report.warnings)
+    sigma = report.denoised
+    np.testing.assert_array_equal(sigma, sigma.T)
+    assert np.linalg.eigvalsh(sigma).min() > 0.0
+    np.testing.assert_allclose(np.diag(sigma),
+                               np.var(panel, axis=1, ddof=1), rtol=1e-12)
+
+
 @pytest.mark.parametrize("k", [0, 3])
 def test_clean_covariance_second_pass_is_one_sweep(monkeypatch, k):
     # pass 2 starts at the whitened pass-1 estimate, its fixed point by

@@ -164,6 +164,38 @@ def test_gen_panel_is_bit_identical_to_per_observation_draws(m, n, k, seed):
                                   _loop_gen_panel_returns(spec))
 
 
+def test_gen_panel_stays_bit_identical_as_the_noise_root_cache_turns_over():
+    # five (m, rho) keys against a cache of four, visited so that hits,
+    # misses and evictions alternate
+    market_model._noise_root.cache_clear()
+    keys = [(15, 0.8), (7, 0.3), (15, 0.8), (40, 0.5), (7, 0.3), (3, 0.0),
+            (22, 0.9), (15, 0.8), (40, 0.5), (7, 0.3), (15, 0.8)]
+    for seed, (m, rho) in enumerate(keys):
+        spec = FactorModelSpec(m=m, N=60, K=seed % 3,
+                               rho=rho, nu=0.5, seed=seed)
+        np.testing.assert_array_equal(gen_panel(spec).returns,
+                                      _loop_gen_panel_returns(spec))
+    info = market_model._noise_root.cache_info()
+    assert info.hits > 0 and info.misses > 5
+
+
+def test_gen_panel_decomposes_the_noise_scatter_once_per_m_rho(monkeypatch):
+    market_model._noise_root.cache_clear()
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: calls.append(a.shape) or eigh(a))
+    panels = [gen_panel(FactorModelSpec(m=20, N=50, K=0, rho=0.5, seed=seed))
+              for seed in range(8)]
+    assert calls == [(20, 20)]
+    root = market_model._noise_root(20, 0.5)
+    with pytest.raises(ValueError):
+        root[0, 0] = 1.0
+    # each panel still owns its true scatter
+    panels[0].true_scatter[0, 1] = 7.0
+    assert panels[1].true_scatter[0, 1] == 0.5
+
+
 def test_gen_panel_redraws_an_all_zero_direction(monkeypatch):
     # a block row that is exactly zero has no direction; it is replaced by
     # a fresh unit vector drawn after the block
