@@ -12,9 +12,8 @@ from .allocation import (CovarianceInput, OptimizationResult, OptimizerConfig,
                          WeightVector, maximize_variety,
                          min_variance_variety_weights, optimize_variety,
                          variety_ratio)
-from .backtest import (BacktestConfig, BacktestResult, PerfStats, PricePanel,
-                       load_prices, perf_stats, rolling_schedule, run_backtest,
-                       to_returns, turnover)
+from .backtest import (BacktestConfig, BacktestResult, PerfStats, perf_stats,
+                       rolling_schedule, run_backtest, turnover)
 from .denoise import (CleanConfig, CleaningReport, EigenSpectrum,
                       clean_covariance, clip_spectrum, eigen_spectrum,
                       mp_upper_bound, order_threshold,
@@ -27,9 +26,9 @@ from .errors import (ConvergenceError, DegenerateDataError,
 from .market_model import (FactorModelSpec, SyntheticPanel, gen_panel,
                            gen_sphere_vector, gen_texture,
                            gen_toeplitz_scatter)
-from .panels import ReturnsPanel, load_returns_csv, save_returns_csv
+from .panels import (PricePanel, ReturnsPanel, load_prices, load_returns_csv,
+                     save_returns_csv, to_returns)
 from .robust import (ScatterMatrix, TylerConfig, demean_rows,
-                     fixed_point_residual, inv_sqrt, save_scatter_csv, scm,
-                     toeplitzify, tyler)
+                     fixed_point_residual, inv_sqrt, scm, toeplitzify, tyler)
 
 __version__ = "0.1.0"

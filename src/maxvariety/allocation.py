@@ -144,9 +144,9 @@ class OptimizerConfig:
     kkt_tol: float = 1e-5
 
     def __post_init__(self):
-        if not self.kkt_tol > 0.0:
+        if not 0.0 < self.kkt_tol < math.inf:
             raise ParameterError(
-                f"kkt_tol must be positive, got {self.kkt_tol}")
+                f"kkt_tol must be positive and finite, got {self.kkt_tol}")
 
 
 @dataclass

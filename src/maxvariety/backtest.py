@@ -1,7 +1,7 @@
 """Rolling-window backtest of covariance-driven allocations.
 
-Prices come in as a dated CSV panel, are turned into arithmetic returns,
-and a fixed-length estimation window slides over the return history.  At
+A price panel (read by ``panels.load_prices``) is turned into arithmetic
+returns, and a fixed-length estimation window slides over the return history.  At
 each rebalance the configured covariance estimator is fitted on the window,
 weights that maximize the variety ratio are computed, and the portfolio is
 held (buy and hold, positions drifting with returns) until the next
@@ -10,122 +10,18 @@ rebalance.  Wealth starts at 100 on the first rebalance date.
 
 from __future__ import annotations
 
-import datetime
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .allocation import OptimizerConfig, optimize_variety
 from .denoise import CleanConfig, clean_covariance
-from .errors import (IngestionError, InsufficientSamplesError,
-                     MaxVarietyError, NumericalError, ParameterError)
-from .panels import ReturnsPanel, _csv_rows, _read_csv
+from .errors import (InsufficientSamplesError, MaxVarietyError,
+                     NumericalError, ParameterError)
+from .panels import PricePanel, to_returns
 from .robust import scm
 
 ESTIMATORS = ("scm", "rmt_tyler_whitened")
-MISSING_POLICIES = ("error", "forward_fill")
-
-
-@dataclass
-class PricePanel:
-    """Dated price history, one row per asset and one column per date."""
-
-    dates: list[datetime.date]
-    prices: np.ndarray
-    labels: list[str]
-    fill_counts: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.prices = np.asarray(self.prices, dtype=float)
-        if self.prices.ndim != 2:
-            raise ParameterError("prices must be a 2-d array")
-        m, t = self.prices.shape
-        if len(self.labels) != m:
-            raise ParameterError(f"{len(self.labels)} labels for {m} assets")
-        if len(self.dates) != t:
-            raise ParameterError(f"{len(self.dates)} dates for {t} columns")
-
-
-def load_prices(path, missing_policy: str = "error") -> PricePanel:
-    """Read a ``Date,<label>,...`` CSV of prices.
-
-    Dates must be ISO formatted and strictly increasing; prices must be
-    finite and positive.  Empty cells are errors under the default policy,
-    or copied from the previous date under ``forward_fill`` (leading gaps
-    are always errors).  Per-asset fill counts are kept on the returned
-    panel.  Blank lines are skipped but keep their number in error rows.
-    """
-    if missing_policy not in MISSING_POLICIES:
-        raise ParameterError(f"unknown missing policy {missing_policy!r}")
-    content, plain = _read_csv(path, "price", key=datetime.date.fromisoformat)
-    if plain is not None:
-        header, dates, cells = plain
-        if ((cells > 0.0).all()
-                and all(a < b for a, b in zip(dates, dates[1:]))):
-            return PricePanel(dates, np.ascontiguousarray(cells.T), header[1:],
-                              dict.fromkeys(header[1:], 0))
-    rows = _csv_rows(content, path)
-    if not rows or len(rows[0]) < 2:
-        raise IngestionError(f"{path}: missing header row with asset labels")
-    labels = rows[0][1:]
-    body = [(r, row) for r, row in enumerate(rows[1:], start=2) if row]
-    if len(body) < 1:
-        raise IngestionError(f"{path}: no price rows")
-
-    dates: list[datetime.date] = []
-    prices = np.empty((len(labels), len(body)))
-    fill_counts = {label: 0 for label in labels}
-    for r, row in body:
-        if len(row) != len(labels) + 1:
-            raise IngestionError(
-                f"{path}: row {r} has {len(row)} fields, "
-                f"expected {len(labels) + 1}")
-        try:
-            day = datetime.date.fromisoformat(row[0])
-        except ValueError as exc:
-            raise IngestionError(
-                f"{path}: row {r}: bad date {row[0]!r}") from exc
-        if dates and day <= dates[-1]:
-            raise IngestionError(
-                f"{path}: row {r}: date {day} not after {dates[-1]}")
-        dates.append(day)
-        t = len(dates) - 1
-        for c, text in enumerate(row[1:]):
-            label = labels[c]
-            if text.strip() == "":
-                if missing_policy == "error" or t == 0:
-                    raise IngestionError(
-                        f"{path}: row {r}, column {label!r}: missing price")
-                prices[c, t] = prices[c, t - 1]
-                fill_counts[label] += 1
-                continue
-            try:
-                value = float(text)
-            except ValueError as exc:
-                raise IngestionError(
-                    f"{path}: row {r}, column {label!r}: "
-                    f"not a number: {text!r}") from exc
-            if not math.isfinite(value):
-                raise IngestionError(
-                    f"{path}: row {r}, column {label!r}: "
-                    f"not finite: {text!r}")
-            if value <= 0.0:
-                raise IngestionError(
-                    f"{path}: row {r}, column {label!r}: "
-                    f"non-positive price {value!r}")
-            prices[c, t] = value
-    return PricePanel(dates=dates, prices=prices, labels=labels,
-                      fill_counts=fill_counts)
-
-
-def to_returns(panel: PricePanel) -> ReturnsPanel:
-    """Arithmetic returns; the timestamp of each return is its later date."""
-    if panel.prices.shape[1] < 2:
-        raise ParameterError("need at least two price dates to form returns")
-    ret = panel.prices[:, 1:] / panel.prices[:, :-1] - 1.0
-    stamps = [d.isoformat() for d in panel.dates[1:]]
-    return ReturnsPanel(ret, labels=list(panel.labels), timestamps=stamps)
 
 
 def rolling_schedule(n_returns: int, window_days: int,

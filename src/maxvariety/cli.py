@@ -24,7 +24,6 @@ way.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -35,18 +34,17 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import OptimizerConfig, optimize_variety, variety_ratio
-from .backtest import (ESTIMATORS, BacktestConfig, BacktestResult,
-                       load_prices, run_backtest)
+from .backtest import ESTIMATORS, BacktestConfig, BacktestResult, run_backtest
 from .denoise import (CleanConfig, clean_covariance, mp_upper_bound,
                       save_eigenvalue_histogram)
 from .errors import (IngestionError, MaxVarietyError, NumericalError,
                      ParameterError, UsageError)
 from .market_model import FactorModelSpec, gen_panel
-from .panels import load_returns_csv, save_returns_csv
+from .panels import (MISSING_POLICIES, _float_cells, _write_csv, load_prices,
+                     load_returns_csv, save_returns_csv)
 # ``tyler`` is unused here but stays bound: the benchmark's trace hooks
 # ``maxvariety.cli.tyler`` and its tests require every hook target to exist.
-from .robust import (ScatterMatrix, TylerConfig, save_scatter_csv, scm,
-                     tyler)  # noqa: F401
+from .robust import TylerConfig, scm, tyler  # noqa: F401
 
 # The JSON value types each field annotation accepts.  json.loads gives
 # exact built-in types, so matching the type exactly keeps true and false
@@ -110,9 +108,13 @@ def _load_config(path) -> dict:
     return data
 
 
-def _merged(config: dict, section: str, overrides: dict) -> dict:
+def _settings(config: dict, section: str, args) -> dict:
+    """The config file's ``section``, each key overridden by the flag of the
+    same name when that flag was given."""
     body = dict(config.get(section, {}))
-    body.update({k: v for k, v in overrides.items() if v is not None})
+    for key in _SECTION_KEYS[section]:
+        if getattr(args, key, None) is not None:
+            body[key] = getattr(args, key)
     return body
 
 
@@ -129,6 +131,10 @@ def _atomic_via(path: Path, writer) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _atomic_csv(path: Path, header, rows) -> None:
+    _atomic_via(path, lambda tmp: _write_csv(tmp, header, rows))
 
 
 def _atomic_write_json(path: Path, payload) -> None:
@@ -162,28 +168,13 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _tyler_config(config: dict, args) -> TylerConfig:
-    overrides = {"max_iter": getattr(args, "max_iter", None),
-                 "tol": getattr(args, "tol", None)}
-    return TylerConfig(**_merged(config, "tyler", overrides))
-
-
 def _clean_config(config: dict, args) -> CleanConfig:
-    overrides = {"demean": getattr(args, "demean", None),
-                 "eigen_floor": getattr(args, "eigen_floor", None)}
-    return CleanConfig(tyler=_tyler_config(config, args),
-                       **_merged(config, "clean", overrides))
-
-
-def _optimizer_config(config: dict) -> OptimizerConfig:
-    return OptimizerConfig(**config.get("optimizer", {}))
+    return CleanConfig(tyler=TylerConfig(**_settings(config, "tyler", args)),
+                       **_settings(config, "clean", args))
 
 
 def _model_spec(config: dict, args) -> FactorModelSpec:
-    overrides = {"m": args.m, "N": args.N, "K": args.K, "rho": args.rho,
-                 "nu": args.nu, "factor_snr": args.factor_snr,
-                 "seed": args.seed}
-    body = _merged(config, "synth", overrides)
+    body = _settings(config, "synth", args)
     missing = {"m", "N"} - set(body)
     if missing:
         raise UsageError(
@@ -220,10 +211,9 @@ def cmd_clean(args) -> None:
     report = clean_covariance(panel.values, clean_cfg)
     out = _out_dir(args)
     _atomic_write_json(out / "report.json", report.to_dict())
-    denoised = ScatterMatrix(report.denoised,
-                             normalization="covariance_scale")
-    _atomic_via(out / "denoised.csv",
-                lambda tmp: save_scatter_csv(denoised, tmp))
+    _atomic_csv(out / "denoised.csv",
+                [len(report.denoised), "covariance_scale"],
+                map(_float_cells, report.denoised))
     _atomic_via(out / "spectrum_histogram.csv",
                 lambda tmp: save_eigenvalue_histogram(
                     report.spectrum.eigenvalues, tmp))
@@ -235,7 +225,7 @@ def cmd_clean(args) -> None:
 def cmd_allocate(args) -> None:
     """Allocate from a returns CSV; write weights.csv and allocation.json."""
     config = _load_config(args.config)
-    opt_cfg = _optimizer_config(config)
+    opt_cfg = OptimizerConfig(**_settings(config, "optimizer", args))
     clean_cfg = _clean_config(config, args)
     panel = load_returns_csv(args.input)
     k_hat = None
@@ -247,15 +237,8 @@ def cmd_allocate(args) -> None:
         sigma = scm(panel.values, demean=clean_cfg.demean).values
     result = optimize_variety(sigma, opt_cfg)
     out = _out_dir(args)
-
-    def write_weights(tmp):
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["asset", "weight"])
-            for label, weight in zip(panel.labels, result.weights.weights):
-                writer.writerow([label, repr(float(weight))])
-
-    _atomic_via(out / "weights.csv", write_weights)
+    _atomic_csv(out / "weights.csv", ["asset", "weight"],
+                zip(panel.labels, _float_cells(result.weights.weights)))
     payload = {
         "estimator": args.estimator,
         "k_hat": k_hat,
@@ -273,54 +256,33 @@ def cmd_allocate(args) -> None:
 
 def _write_backtest_csvs(out: Path, results: dict[str, BacktestResult]) -> None:
     """weights per estimator; wealth and turnover aligned across estimators."""
-    names = list(results)
-    first = results[names[0]]
     for name, result in results.items():
         suffix = f"_{name}" if len(results) > 1 else ""
+        _atomic_csv(out / f"weights{suffix}.csv", ["Date", *result.labels],
+                    ([date, *_float_cells(row)] for date, row
+                     in zip(result.rebalance_dates, result.weights)))
 
-        def write_weights(tmp, result=result):
-            with open(tmp, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["Date"] + result.labels)
-                for i, date in enumerate(result.rebalance_dates):
-                    writer.writerow(
-                        [date] + [repr(float(v)) for v in result.weights[i]])
+    def write_aligned(path, dates, columns):
+        _atomic_csv(path, ["Date", *(name for name, _ in columns)],
+                    ([date, *_float_cells(column[i] for _, column in columns)]
+                     for i, date in enumerate(dates)))
 
-        _atomic_via(out / f"weights{suffix}.csv", write_weights)
-
-    def write_aligned(tmp, attr, dates, extra=()):
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["Date"] + names + [label for label, _ in extra])
-            columns = ([getattr(results[name], attr) for name in names]
-                       + [col for _, col in extra])
-            for i, date in enumerate(dates):
-                writer.writerow(
-                    [date] + [repr(float(col[i])) for col in columns])
-
-    benchmark = ()
+    first = next(iter(results.values()))
+    wealth = [(name, result.wealth) for name, result in results.items()]
     if first.benchmark_label is not None:
-        benchmark = ((first.benchmark_label, first.benchmark_wealth),)
-    _atomic_via(out / "wealth.csv",
-                lambda tmp: write_aligned(tmp, "wealth", first.wealth_dates,
-                                          benchmark))
-    _atomic_via(out / "turnover.csv",
-                lambda tmp: write_aligned(tmp, "turnover",
-                                          first.rebalance_dates))
+        wealth.append((first.benchmark_label, first.benchmark_wealth))
+    write_aligned(out / "wealth.csv", first.wealth_dates, wealth)
+    write_aligned(out / "turnover.csv", first.rebalance_dates,
+                  [(name, result.turnover) for name, result in results.items()])
 
 
 def cmd_backtest(args) -> None:
     """Backtest a price CSV; write result.json, weights, wealth, turnover."""
     config = _load_config(args.config)
-    clean_cfg = _clean_config(config, args)
-    opt_cfg = _optimizer_config(config)
-    overrides = {"window_days": args.window_days,
-                 "rebalance_days": args.rebalance_days,
-                 "estimator": args.estimator,
-                 "annualization_days": args.annualization_days,
-                 "benchmark": args.benchmark}
-    body = _merged(config, "backtest", overrides)
-    base_cfg = BacktestConfig(clean=clean_cfg, optimizer=opt_cfg, **body)
+    base_cfg = BacktestConfig(
+        clean=_clean_config(config, args),
+        optimizer=OptimizerConfig(**_settings(config, "optimizer", args)),
+        **_settings(config, "backtest", args))
 
     panel = load_prices(args.prices, missing_policy=args.missing_policy)
     estimators = list(ESTIMATORS) if args.compare else [base_cfg.estimator]
@@ -380,9 +342,7 @@ def cmd_mc_order(args) -> None:
     config = _load_config(args.config)
     clean_cfg = _clean_config(config, args)
     spec = _model_spec(config, args)
-    trials = args.trials
-    if trials is None:
-        trials = config.get("mc_order", {}).get("trials")
+    trials = _settings(config, "mc_order", args).get("trials")
     if trials is None:
         raise UsageError("mc-order needs --trials (or config mc_order.trials)")
     if trials < 1:
@@ -400,15 +360,8 @@ def cmd_mc_order(args) -> None:
             counts[k, j] += 1
 
     out = _out_dir(args)
-
-    def write_table(tmp):
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k_hat"] + list(columns))
-            for k in range(top + 1):
-                writer.writerow([k] + [int(c) for c in counts[k]])
-
-    _atomic_via(out / "order_frequencies.csv", write_table)
+    _atomic_csv(out / "order_frequencies.csv", ["k_hat", *columns],
+                ([k, *row] for k, row in enumerate(counts.tolist())))
     print(f"trials={trials} (seeds {spec.seed}..{spec.seed + trials - 1})")
     for j, name in enumerate(columns):
         mode = int(np.argmax(counts[:, j]))
@@ -480,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     backtest.add_argument("--annualization-days", type=int,
                           dest="annualization_days")
     backtest.add_argument("--missing-policy", dest="missing_policy",
-                          choices=["error", "forward_fill"], default="error")
+                          choices=MISSING_POLICIES, default="error")
     backtest.add_argument("--benchmark",
                           help="price column to report alongside the "
                                "portfolio but never allocate")

@@ -16,7 +16,6 @@ and rescaled to the panel's sample variances.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -25,6 +24,7 @@ import numpy as np
 
 from .errors import (DegenerateDataError, DegenerateSpectrumError,
                      InsufficientSamplesError, ParameterError)
+from .panels import _float_cells, _write_csv
 from .robust import (ScatterMatrix, TylerConfig, demean_rows, inv_sqrt,
                      toeplitzify, tyler, _as_matrix, _check_panel)
 
@@ -134,9 +134,9 @@ class CleanConfig:
     eigen_floor: float = 1e-10
 
     def __post_init__(self):
-        if self.eigen_floor < 0.0:
+        if not 0.0 <= self.eigen_floor < math.inf:
             raise ParameterError(
-                f"eigen_floor must be >= 0, got {self.eigen_floor}")
+                f"eigen_floor must be >= 0 and finite, got {self.eigen_floor}")
 
 
 @dataclass
@@ -251,9 +251,5 @@ def save_eigenvalue_histogram(eigenvalues, path) -> None:
         raise ParameterError(
             "log-scale histogram needs strictly positive eigenvalues")
     counts, edges = np.histogram(np.log(eigvals), bins=60)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_center", "count"])
-        for center, count in zip(centers, counts):
-            writer.writerow([repr(float(center)), int(count)])
+    centers = _float_cells(0.5 * (edges[:-1] + edges[1:]))
+    _write_csv(path, ["bin_center", "count"], zip(centers, counts.tolist()))

@@ -11,6 +11,7 @@ Gaussian) while leaving its scatter shape equal to ``C``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +51,14 @@ class FactorModelSpec:
                 f"K must be smaller than m, got K={self.K}, m={self.m}")
         if not 0.0 <= self.rho < 1.0:
             raise ParameterError(f"rho must lie in [0, 1), got {self.rho}")
-        if not self.nu > 0.0:
-            raise ParameterError(f"nu must be positive, got {self.nu}")
-        if self.factor_snr < 0.0:
+        if not 0.0 < self.nu < math.inf:
             raise ParameterError(
-                f"factor_snr must be >= 0, got {self.factor_snr}")
+                f"nu must be positive and finite, got {self.nu}")
+        if not 0.0 <= self.factor_snr < math.inf:
+            raise ParameterError(
+                f"factor_snr must be >= 0 and finite, got {self.factor_snr}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -84,8 +88,8 @@ def gen_toeplitz_scatter(m: int, rho: float) -> np.ndarray:
 
 def gen_texture(nu: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-mean Gamma textures with shape nu (variance 1/nu)."""
-    if not nu > 0.0:
-        raise ParameterError(f"nu must be positive, got {nu}")
+    if not 0.0 < nu < math.inf:
+        raise ParameterError(f"nu must be positive and finite, got {nu}")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     return rng.gamma(shape=nu, scale=1.0 / nu, size=n)

@@ -1,14 +1,18 @@
-"""Return panels and their CSV round trip.
+"""Return and price panels, and every CSV file the package reads or writes.
 
 A panel is an m x N matrix with one row per asset and one column per
 observation, plus asset labels and per-observation timestamps.  The CSV
-layout has observations as rows (header ``t,<label>,<label>,...``).
+layout has observations as rows (header ``t,<label>,<label>,...`` for
+returns, ``Date,<label>,...`` for prices).  The other modules write their
+CSV artifacts through ``_write_csv``.
 """
 
 from __future__ import annotations
 
 import csv
+import datetime
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,13 +45,24 @@ class ReturnsPanel:
                 f"{len(self.timestamps)} timestamps for {n} observations")
 
 
-def save_returns_csv(panel: ReturnsPanel, path) -> None:
-    """Write a panel to UTF-8 CSV, one row per observation."""
+def _float_cells(values) -> list[str]:
+    """Each value as the shortest text that reads back to the same float."""
+    return [repr(float(v)) for v in values]
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and then each of ``rows`` to a UTF-8 CSV file."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t"] + list(panel.labels))
-        for j, stamp in enumerate(panel.timestamps):
-            writer.writerow([stamp] + [repr(float(v)) for v in panel.values[:, j]])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_returns_csv(panel: ReturnsPanel, path) -> None:
+    """Write a panel to UTF-8 CSV, one row per observation."""
+    _write_csv(path, ["t", *panel.labels],
+               ([stamp, *_float_cells(panel.values[:, j])]
+                for j, stamp in enumerate(panel.timestamps)))
 
 
 def _csv_rows(text: str, path) -> list[list[str]]:
@@ -135,3 +150,107 @@ def load_returns_csv(path) -> ReturnsPanel:
                 f"{path}: row {r + 2}, column {c + 2} ({header[c + 1]!r}): "
                 f"not finite: {body[r][c + 1]!r}")
     return ReturnsPanel(cells.T, labels=header[1:], timestamps=keys)
+
+
+MISSING_POLICIES = ("error", "forward_fill")
+
+
+@dataclass
+class PricePanel:
+    """Dated price history, one row per asset and one column per date."""
+
+    dates: list[datetime.date]
+    prices: np.ndarray
+    labels: list[str]
+    fill_counts: dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.prices = np.asarray(self.prices, dtype=float)
+        if self.prices.ndim != 2:
+            raise ParameterError("prices must be a 2-d array")
+        m, t = self.prices.shape
+        if len(self.labels) != m:
+            raise ParameterError(f"{len(self.labels)} labels for {m} assets")
+        if len(self.dates) != t:
+            raise ParameterError(f"{len(self.dates)} dates for {t} columns")
+
+
+def load_prices(path, missing_policy: str = "error") -> PricePanel:
+    """Read a ``Date,<label>,...`` CSV of prices.
+
+    Dates must be ISO formatted and strictly increasing; prices must be
+    finite and positive.  Empty cells are errors under the default policy,
+    or copied from the previous date under ``forward_fill`` (leading gaps
+    are always errors).  Per-asset fill counts are kept on the returned
+    panel.  Blank lines are skipped but keep their number in error rows.
+    """
+    if missing_policy not in MISSING_POLICIES:
+        raise ParameterError(f"unknown missing policy {missing_policy!r}")
+    content, plain = _read_csv(path, "price", key=datetime.date.fromisoformat)
+    if plain is not None:
+        header, dates, cells = plain
+        if ((cells > 0.0).all()
+                and all(a < b for a, b in zip(dates, dates[1:]))):
+            return PricePanel(dates, np.ascontiguousarray(cells.T), header[1:],
+                              dict.fromkeys(header[1:], 0))
+    rows = _csv_rows(content, path)
+    if not rows or len(rows[0]) < 2:
+        raise IngestionError(f"{path}: missing header row with asset labels")
+    labels = rows[0][1:]
+    body = [(r, row) for r, row in enumerate(rows[1:], start=2) if row]
+    if len(body) < 1:
+        raise IngestionError(f"{path}: no price rows")
+
+    dates: list[datetime.date] = []
+    prices = np.empty((len(labels), len(body)))
+    fill_counts = {label: 0 for label in labels}
+    for r, row in body:
+        if len(row) != len(labels) + 1:
+            raise IngestionError(
+                f"{path}: row {r} has {len(row)} fields, "
+                f"expected {len(labels) + 1}")
+        try:
+            day = datetime.date.fromisoformat(row[0])
+        except ValueError as exc:
+            raise IngestionError(
+                f"{path}: row {r}: bad date {row[0]!r}") from exc
+        if dates and day <= dates[-1]:
+            raise IngestionError(
+                f"{path}: row {r}: date {day} not after {dates[-1]}")
+        dates.append(day)
+        t = len(dates) - 1
+        for c, text in enumerate(row[1:]):
+            label = labels[c]
+            if text.strip() == "":
+                if missing_policy == "error" or t == 0:
+                    raise IngestionError(
+                        f"{path}: row {r}, column {label!r}: missing price")
+                prices[c, t] = prices[c, t - 1]
+                fill_counts[label] += 1
+                continue
+            try:
+                value = float(text)
+            except ValueError as exc:
+                raise IngestionError(
+                    f"{path}: row {r}, column {label!r}: "
+                    f"not a number: {text!r}") from exc
+            if not math.isfinite(value):
+                raise IngestionError(
+                    f"{path}: row {r}, column {label!r}: "
+                    f"not finite: {text!r}")
+            if value <= 0.0:
+                raise IngestionError(
+                    f"{path}: row {r}, column {label!r}: "
+                    f"non-positive price {value!r}")
+            prices[c, t] = value
+    return PricePanel(dates=dates, prices=prices, labels=labels,
+                      fill_counts=fill_counts)
+
+
+def to_returns(panel: PricePanel) -> ReturnsPanel:
+    """Arithmetic returns; the timestamp of each return is its later date."""
+    if panel.prices.shape[1] < 2:
+        raise ParameterError("need at least two price dates to form returns")
+    ret = panel.prices[:, 1:] / panel.prices[:, :-1] - 1.0
+    stamps = [d.isoformat() for d in panel.dates[1:]]
+    return ReturnsPanel(ret, labels=list(panel.labels), timestamps=stamps)

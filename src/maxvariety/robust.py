@@ -7,7 +7,7 @@ inverse square root that whitens a panel with one of them.
 
 from __future__ import annotations
 
-import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -38,19 +38,6 @@ class ScatterMatrix:
         if self.normalization not in NORMALIZATIONS:
             raise ParameterError(
                 f"unknown normalization {self.normalization!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-
-def save_scatter_csv(scatter: ScatterMatrix, path) -> None:
-    """Serialize with a one-line header carrying the dimension and tag."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([scatter.dim, scatter.normalization])
-        for row in scatter.values:
-            writer.writerow([repr(float(v)) for v in row])
 
 
 def _as_matrix(scatter) -> np.ndarray:
@@ -106,8 +93,9 @@ class TylerConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not self.tol > 0.0:
-            raise ParameterError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ParameterError(
+                f"tol must be positive and finite, got {self.tol}")
 
 
 def _tyler_step(panel: np.ndarray, current: np.ndarray, white=None,
@@ -349,8 +337,9 @@ def inv_sqrt(scatter, eigen_floor: float = 1e-10) -> np.ndarray:
     that floor before inversion; doing so emits an EigenvalueFloorWarning.
     Raises SingularMatrixError when no strictly positive floor exists.
     """
-    if eigen_floor < 0.0:
-        raise ParameterError(f"eigen_floor must be >= 0, got {eigen_floor}")
+    if not 0.0 <= eigen_floor < math.inf:
+        raise ParameterError(
+            f"eigen_floor must be >= 0 and finite, got {eigen_floor}")
     values = _as_matrix(scatter)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ParameterError("inv_sqrt needs a square matrix")

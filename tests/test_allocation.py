@@ -464,7 +464,7 @@ def test_optimizer_rejects_zero_variance_asset():
 
 
 def test_optimizer_config_validation():
-    for bad in (0.0, -1e-5, float("nan")):
+    for bad in (0.0, -1e-5, float("nan"), float("inf")):
         with pytest.raises(ParameterError):
             OptimizerConfig(kkt_tol=bad)
     assert OptimizerConfig().kkt_tol == 1e-5

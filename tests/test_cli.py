@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime
 import json
 
 import numpy as np
 import pytest
 
-from maxvariety import (FactorModelSpec, UsageError, demean_rows, gen_panel,
-                        mp_upper_bound, order_threshold, tyler)
+from maxvariety import (BacktestConfig, CleanConfig, FactorModelSpec,
+                        UsageError, clean_covariance, demean_rows, gen_panel,
+                        load_prices, load_returns_csv, mp_upper_bound,
+                        order_threshold, run_backtest, tyler)
+from maxvariety.backtest import ESTIMATORS
 import maxvariety.cli as cli
 import maxvariety.errors as errors
 from maxvariety.cli import main
@@ -65,6 +69,11 @@ def test_synth_rejects_invalid_spec(tmp_path, capsys):
                 "--out", str(tmp_path))
     assert code == 1
     assert "rho" in capsys.readouterr().err
+    # a negative seed is refused here, not by the generator's own ValueError
+    code = _run("synth", "--m", "4", "--N", "30", "--seed", "-1",
+                "--out", str(tmp_path))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: seed must be >= 0")
 
 
 def test_synth_requires_m_and_n(tmp_path, capsys):
@@ -155,6 +164,101 @@ def test_malformed_config_rejected(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+class _Handed(Exception):
+    """Stops a run at the call that would take its derived settings."""
+
+
+# Per section: the subcommand, the call that takes the derived settings and
+# how to read them from its arguments, the file's keys, and one flag that
+# names one of those keys.
+_FLAG_OVER_FILE = {
+    "synth": ("synth", "gen_panel", lambda a: dataclasses.asdict(a[0]),
+              {"m": 5, "N": 25, "seed": 3, "nu": 2.0},
+              ["--seed", "4"], {"seed": 4}),
+    "tyler": ("clean", "clean_covariance",
+              lambda a: dataclasses.asdict(a[1].tyler),
+              {"max_iter": 7, "tol": 1e-6}, ["--tol", "1e-7"], {"tol": 1e-7}),
+    "clean": ("clean", "clean_covariance",
+              lambda a: {"demean": a[1].demean,
+                         "eigen_floor": a[1].eigen_floor},
+              {"demean": False, "eigen_floor": 0.25}, ["--demean"],
+              {"demean": True}),
+    "backtest": ("backtest", "run_backtest", lambda a: vars(a[1]),
+                 {"window_days": 30, "rebalance_days": 5,
+                  "annualization_days": 250, "estimator": "scm"},
+                 ["--rebalance-days", "7"], {"rebalance_days": 7}),
+}
+
+
+@pytest.mark.parametrize("section", list(_FLAG_OVER_FILE))
+@pytest.mark.parametrize("flagged", [False, True],
+                         ids=["file-only", "flag-given"])
+def test_a_given_flag_beats_the_config_key_of_its_name(tmp_path, monkeypatch,
+                                                       section, flagged):
+    command, target, read, keys, flag, flag_keys = _FLAG_OVER_FILE[section]
+    argv = [command, "--out", str(tmp_path / "out")]
+    if command == "clean":
+        argv += ["--input", str(_synth_returns(tmp_path, m=4, N=30, seed=1))]
+    elif command == "backtest":
+        _write_price_csv(tmp_path / "prices.csv", m=3, t=61)
+        argv += ["--prices", str(tmp_path / "prices.csv")]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: keys}))
+    handed = []
+
+    def stand_in(*args):
+        handed.append(args)
+        raise _Handed
+
+    monkeypatch.setattr(cli, target, stand_in)
+    with pytest.raises(_Handed):
+        _run(*argv, "--config", str(cfg), *(flag if flagged else []))
+    settings = read(handed[0])
+    expected = {**keys, **flag_keys} if flagged else keys
+    assert {key: settings[key] for key in expected} == expected
+
+
+def test_mc_order_trials_flag_beats_the_config_key(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth": {"m": 6, "N": 40},
+                               "mc_order": {"trials": 3}}))
+    for flag, trials in (([], 3), (["--trials", "2"], 2)):
+        out = tmp_path / f"mc{trials}"
+        assert _run("mc-order", "--config", str(cfg), "--out", str(out),
+                    *flag) == 0
+        assert _order_table(out)[:, 1:].sum(axis=0).tolist() == [trials] * 3
+
+
+@pytest.mark.parametrize(("command", "flags", "config"), [
+    ("synth", ["--factor-snr", "nan"], None),
+    ("synth", ["--factor-snr", "inf"], None),
+    ("synth", ["--nu", "inf"], None),
+    ("synth", [], {"synth": {"nu": float("inf")}}),
+    ("clean", ["--eigen-floor", "nan"], None),
+    ("clean", ["--eigen-floor", "inf"], None),
+    ("clean", ["--tol", "inf"], None),
+    ("allocate", [], {"optimizer": {"kkt_tol": float("inf")}}),
+], ids=["synth-snr-nan", "synth-snr-inf", "synth-nu-inf",
+        "synth-config-nu-inf", "clean-floor-nan", "clean-floor-inf",
+        "clean-tol-inf", "allocate-config-kkt-tol-inf"])
+def test_non_finite_setting_is_rejected_before_anything_is_written(
+        tmp_path, capsys, command, flags, config):
+    argv = [command, *flags]
+    if command == "synth":
+        argv += ["--m", "4", "--N", "6", "--K", "1"]
+    else:
+        argv += ["--input", str(_synth_returns(tmp_path, m=4, N=30, seed=1))]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert _run(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- clean
 
 
@@ -180,8 +284,20 @@ def test_clean_full_pipeline_outputs(tmp_path, capsys):
     assert report["threshold"] == pytest.approx(order_threshold(30, 400))
     assert report["threshold"] > report["lambda_bar"]
     assert len(report["eigenvalues"]) == 30
-    assert (out / "denoised.csv").exists()
-    assert (out / "spectrum_histogram.csv").exists()
+    # the CSV artifacts read back bit for bit
+    expected = clean_covariance(load_returns_csv(returns).values,
+                                CleanConfig(demean=False))
+    rows = list(csv.reader(open(out / "denoised.csv")))
+    assert rows[0] == ["30", "covariance_scale"]
+    np.testing.assert_array_equal(np.array(rows[1:], dtype=float),
+                                  expected.denoised)
+    counts, edges = np.histogram(np.log(expected.spectrum.eigenvalues),
+                                 bins=60)
+    rows = list(csv.reader(open(out / "spectrum_histogram.csv")))
+    assert rows[0] == ["bin_center", "count"]
+    np.testing.assert_array_equal([float(row[0]) for row in rows[1:]],
+                                  0.5 * (edges[:-1] + edges[1:]))
+    assert [int(row[1]) for row in rows[1:]] == counts.tolist()
     printed = capsys.readouterr().out
     assert "k_hat=2" in printed
     assert f"threshold={report['threshold']:.6f}" in printed
@@ -243,6 +359,7 @@ def test_allocate_scm_weights_sum_to_one(tmp_path, capsys):
     assert sum(weights) == pytest.approx(1.0, abs=1e-8)
     assert min(weights) >= 0.0
     payload = json.loads((out / "allocation.json").read_text())
+    assert {row[0]: float(row[1]) for row in rows[1:]} == payload["weights"]
     assert payload["estimator"] == "scm"
     assert payload["k_hat"] is None
     assert payload["variety_ratio"] >= 1.0
@@ -328,6 +445,43 @@ def test_backtest_compare_writes_aligned_outputs(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "scm: return=" in printed
     assert "rmt_tyler_whitened: return=" in printed
+
+
+def test_backtest_csvs_read_back_as_run_backtest_arrays(tmp_path):
+    prices = tmp_path / "prices.csv"
+    labels = _write_price_csv(prices, m=4, t=61)
+    out = tmp_path / "bt"
+    assert _run("backtest", "--prices", str(prices), "--compare",
+                "--benchmark", labels[-1], "--window-days", "30",
+                "--rebalance-days", "5", "--no-demean",
+                "--out", str(out)) == 0
+    panel = load_prices(prices)
+    results = {name: run_backtest(panel, BacktestConfig(
+        window_days=30, rebalance_days=5, estimator=name,
+        benchmark=labels[-1], clean=CleanConfig(demean=False)))
+        for name in ESTIMATORS}
+
+    def table(name):
+        rows = list(csv.reader(open(out / name)))
+        return (rows[0], [row[0] for row in rows[1:]],
+                np.array([row[1:] for row in rows[1:]], dtype=float))
+
+    for name, result in results.items():
+        header, dates, cells = table(f"weights_{name}.csv")
+        assert header == ["Date", *labels[:-1]]
+        assert dates == result.rebalance_dates
+        np.testing.assert_array_equal(cells, result.weights)
+    first = results[ESTIMATORS[0]]
+    header, dates, cells = table("wealth.csv")
+    assert header == ["Date", *ESTIMATORS, labels[-1]]
+    assert dates == first.wealth_dates
+    np.testing.assert_array_equal(cells, np.column_stack(
+        [*(r.wealth for r in results.values()), first.benchmark_wealth]))
+    header, dates, cells = table("turnover.csv")
+    assert header == ["Date", *ESTIMATORS]
+    assert dates == first.rebalance_dates
+    np.testing.assert_array_equal(cells, np.column_stack(
+        [r.turnover for r in results.values()]))
 
 
 def test_backtest_single_estimator_plain_weights_name(tmp_path):

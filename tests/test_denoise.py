@@ -140,6 +140,12 @@ def test_clip_spectrum_degenerate_remainder():
 # ---------------------------------------------------------------- pipeline
 
 
+def test_clean_config_rejects_a_negative_or_non_finite_floor():
+    for bad in (-1e-10, float("inf"), float("nan")):
+        with pytest.raises(ParameterError):
+            CleanConfig(eigen_floor=bad)
+
+
 def _factor_spec(seed, K=3):
     return FactorModelSpec(m=100, N=1000, K=K, rho=0.8, nu=0.5,
                            factor_snr=10.0, seed=seed)

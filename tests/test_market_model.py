@@ -52,8 +52,9 @@ def test_texture_light_tail_limit():
 
 def test_texture_rejects_bad_shape():
     rng = np.random.default_rng(0)
-    with pytest.raises(ParameterError):
-        gen_texture(0.0, 10, rng)
+    for nu in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ParameterError):
+            gen_texture(nu, 10, rng)
 
 
 def test_sphere_vector_unit_norm():
@@ -238,3 +239,10 @@ def test_spec_validation():
         FactorModelSpec(m=10, N=10, nu=-0.5)
     with pytest.raises(ParameterError):
         FactorModelSpec(m=10, N=10, factor_snr=-1.0)
+    with pytest.raises(ParameterError):
+        FactorModelSpec(m=10, N=10, seed=-1)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ParameterError):
+            FactorModelSpec(m=10, N=10, nu=bad)
+        with pytest.raises(ParameterError):
+            FactorModelSpec(m=10, N=10, factor_snr=bad)

@@ -2,11 +2,31 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import maxvariety
 from maxvariety import (IngestionError, ParameterError, ReturnsPanel,
                         load_returns_csv, save_returns_csv)
+
+
+def test_only_panels_imports_csv():
+    # every CSV layout lives in panels.py; other modules go through it
+    importers = set()
+    for path in Path(maxvariety.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "csv" for name in names):
+                importers.add(path.name)
+    assert importers == {"panels.py"}
 
 
 def _panel():

@@ -354,8 +354,9 @@ def test_tyler_nonconvergence_carries_residual():
 def test_tyler_config_validation():
     with pytest.raises(ParameterError):
         TylerConfig(max_iter=0)
-    with pytest.raises(ParameterError):
-        TylerConfig(tol=0.0)
+    for bad in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ParameterError):
+            TylerConfig(tol=bad)
 
 
 # ---------------------------------------------------------------- toeplitzify
@@ -458,6 +459,12 @@ def test_inv_sqrt_flooring_warns():
     with pytest.warns(EigenvalueFloorWarning):
         w = inv_sqrt(nearly_singular, eigen_floor=1e-10)
     assert np.all(np.isfinite(w))
+
+
+def test_inv_sqrt_rejects_a_negative_or_non_finite_floor():
+    for bad in (-1e-10, float("inf"), float("nan")):
+        with pytest.raises(ParameterError):
+            inv_sqrt(np.eye(3), eigen_floor=bad)
 
 
 def test_inv_sqrt_all_zero_rejected():
