@@ -178,10 +178,11 @@ def _kkt_residual(w: np.ndarray, cov: CovarianceInput) -> float:
 
 
 def _face_minimizer(kkt: np.ndarray, probe: np.ndarray,
-                    try_lu: bool) -> tuple[np.ndarray, int]:
+                    try_lu: bool) -> tuple[np.ndarray, int, bool]:
     """A solution of ``kkt x = e`` (``e`` the last unit vector) by the
-    accept rule stated in ``_active_set``, and the numerical nullity of
-    ``kkt`` that least squares found (0 when the LU result was taken)."""
+    accept rule stated in ``_active_set``, the numerical nullity of ``kkt``
+    that least squares found (0 when the LU result was taken), and whether
+    the LU result was taken."""
     n = kkt.shape[0]
     rhs = np.zeros((n, 2))
     rhs[-1, 0] = 1.0
@@ -197,23 +198,47 @@ def _face_minimizer(kkt: np.ndarray, probe: np.ndarray,
                     and np.abs(kkt @ x - rhs[:, 0]).max()
                     <= 1e-10 * max(1.0, np.abs(x).max())
                     and n * np.finfo(float).eps * np.abs(y).max() <= 1e-6):
-                return x, 0
+                return x, 0, True
     x, _, rank, _ = np.linalg.lstsq(kkt, rhs[:, 0], rcond=None)
-    return x, n - rank
+    return x, n - rank, False
 
 
 def _active_set(corr: np.ndarray) -> tuple[np.ndarray, int]:
     """Exact minimizer of ``z' R z`` on the simplex, and the steps taken.
 
-    A primal active-set walk from the uniform full support.  Each step
-    minimizes over the current face of ``f`` assets through its KKT system
-    ``K [z_F; mu] = e``, with ``K = [[R_FF, 1], [1', 0]]`` and ``e`` the
-    last unit vector.  If that target leaves the simplex, the iterate moves
-    toward it until the first coordinate reaches zero, and that coordinate
-    leaves the face.  Otherwise the iterate takes the target, and the
-    lowest outside index whose gradient undercuts the multiplier enters
-    (Bland's rule, against cycling on degenerate faces).  A face minimizer
-    with no such index is the global minimum.
+    A primal active-set walk.  Each step minimizes over the current face of
+    ``f`` assets through its KKT system ``K [z_F; mu] = e``, with
+    ``K = [[R_FF, 1], [1', 0]]`` and ``e`` the last unit vector.  If that
+    target leaves the simplex, the iterate moves toward it until the first
+    coordinate reaches zero, and that coordinate leaves the face.
+    Otherwise the iterate takes the target, and outside assets whose
+    gradient undercuts the multiplier by more than 1e-12 enter.  A face
+    minimizer with no such asset is the global minimum.
+
+    Step 1 solves the full face, whose target is the unconstrained
+    minimizer.  When LU solved that face (so it is well away from
+    singular) and its target is negative in some coordinates, the walk
+    crash-starts: the iterate becomes ``max(target, 0)`` rescaled onto the
+    simplex, and the face its positive coordinates, rather than dropping
+    the negative ones one step each.  On a walk that crashed, every
+    undercutting asset enters at once, except from a face that least
+    squares solved, where only the lowest index enters.  A full face that
+    needs least squares keeps the walk from all assets, one asset per
+    step, with the lowest undercutting index entering (Bland's rule,
+    against cycling on degenerate faces).  Such a face is singular or
+    nearly so, and the minimum of ``z' R z`` can be so small that the fixed
+    1e-12 entry margin is a few percent of the multiplier: another path
+    could then stop on another face within that margin.  Block entry is
+    what makes the crash pay: the face of the positive coordinates usually
+    lacks several assets of the optimum, and entering them one step each
+    doubled the steps on random Wishart correlations.
+
+    A crashed walk still ends.  Its full face is nonsingular, which makes
+    every face strictly convex.  Each entering asset undercuts the multiplier by more
+    than 1e-12, and on a strictly convex face a single entrant always gets
+    positive weight, so the zero-length steps that drop entrants whose
+    target is negative cannot empty the entering set; the next face
+    minimizer is then strictly lower than the last, and no face repeats.
 
     The face system is solved by one LU factorisation, which also solves
     ``K y = r`` for the fixed vector ``r_i = sin(i + 1)``.  Its entries are
@@ -230,7 +255,8 @@ def _active_set(corr: np.ndarray) -> tuple[np.ndarray, int]:
     assets, zero-variance portfolios), is solved by least squares, whose
     minimum-norm solution is still a face minimizer.  On such a face ``e``
     is still in the range of ``K``, so ``x`` stays bounded but is arbitrary
-    along the null space; only ``y`` reveals it.
+    along the null space; only ``y`` reveals it.  Least squares that fails
+    to converge raises ConvergenceError with the current iterate.
 
     Dropping an asset removes one row and column of the symmetric ``K``,
     which by Cauchy interlacing lowers its count of near-zero eigenvalues
@@ -244,6 +270,7 @@ def _active_set(corr: np.ndarray) -> tuple[np.ndarray, int]:
     z = np.full(m, 1.0 / m)
     free = np.ones(m, dtype=bool)
     nullity = 0
+    crashed = False
     cap = 8 * m + 16
     for step in range(1, cap + 1):
         idx = np.flatnonzero(free)
@@ -251,9 +278,21 @@ def _active_set(corr: np.ndarray) -> tuple[np.ndarray, int]:
         kkt = np.ones((f + 1, f + 1))
         kkt[:f, :f] = corr[np.ix_(idx, idx)]
         kkt[f, f] = 0.0
-        target, nullity = _face_minimizer(kkt, probe, try_lu=nullity < 2)
+        try:
+            target, nullity, lu = _face_minimizer(kkt, probe,
+                                                  try_lu=nullity < 2)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(
+                f"least squares failed on a face of {f} assets: {exc}",
+                iterate=z) from exc
         target = target[:f]
         blocked = np.flatnonzero(target < 0.0)
+        if step == 1 and lu and 0 < blocked.size < f:
+            z = np.maximum(target, 0.0)
+            z /= z.sum()
+            free = z > 0.0
+            crashed = True
+            continue
         if blocked.size:
             current = z[idx]
             shares = current[blocked] / (current[blocked] - target[blocked])
@@ -269,7 +308,7 @@ def _active_set(corr: np.ndarray) -> tuple[np.ndarray, int]:
         entering = np.flatnonzero(~free & (gradient < multiplier - 1e-12))
         if entering.size == 0:
             return z, step
-        free[entering[0]] = True
+        free[entering if crashed and lu else entering[0]] = True
         nullity = 0
     raise ConvergenceError(
         f"active-set solve did not settle within {cap} steps",
@@ -286,7 +325,12 @@ def min_variance_variety_weights(cov) -> WeightVector:
     through ``w_i = z_i / s_i`` and renormalizing.  The inner convex QP is
     solved exactly by an active-set walk, each face by one LU solve and
     by least squares only where that face is singular; ``steps`` on the
-    result counts its steps.  Raises DegenerateDataError when the minimum
+    result counts its face solves.  When the correlation matrix is well
+    away from singular the walk crash-starts on the positive coordinates
+    of the unconstrained minimizer and enters assets in blocks; otherwise
+    it starts from all assets and moves one asset per step (see
+    ``_active_set``); which walk runs changes the step count, not the face
+    it ends on.  Raises DegenerateDataError when the minimum
     variance is zero to rounding: the variety ratio is then unbounded on
     the simplex.
     """

@@ -15,8 +15,10 @@ from maxvariety import (CleanConfig, ConvergenceError, CovarianceInput,
                         clean_covariance, gen_panel, maximize_variety,
                         min_variance_variety_weights, optimize_variety, scm,
                         variety_ratio)
+import maxvariety.allocation as allocation
 from maxvariety.allocation import _active_set, _project
-from oracles import active_set_lstsq, brute_force_vr
+from oracles import (active_set_from_full_support, active_set_lstsq,
+                     brute_force_vr)
 
 
 def _random_spd(m, rng, spread=3.0):
@@ -412,6 +414,141 @@ def test_singular_faces_fall_back_to_least_squares(monkeypatch, name):
     assert got_steps == want_steps
 
 
+def _scm_draw(rng, m, ratio, tails):
+    n = round(ratio * m)
+    if tails == "t3":
+        return np.cov(rng.standard_t(3.0, (m, n)))
+    return np.cov(rng.standard_normal((m, n)))
+
+
+def _one_factor(rng, m):
+    beta = rng.uniform(0.5, 1.5, m)
+    return np.outer(beta, beta) + np.diag(rng.uniform(0.1, 1.0, m))
+
+
+def _walk_families(rng):
+    yield _random_spd(30, rng)
+    for ratio in (1.02, 1.5, 3.0, 6.0, 12.0):
+        for tails in ("gaussian", "t3"):
+            yield _scm_draw(rng, 40, ratio, tails)
+    yield _one_factor(rng, 40)
+    yield _spiked_covariance(rng)
+
+
+def test_crash_start_ends_where_the_walk_from_full_support_ends():
+    # the crash start and block entry change the path, not the face the
+    # walk ends on, so the LU solve of that face gives the same bits
+    steps = [0, 0]
+    for seed in range(8):
+        for sigma in _walk_families(np.random.default_rng(seed)):
+            corr = _correlations(sigma)
+            want_z, want_steps = active_set_from_full_support(corr)
+            got_z, got_steps = _active_set(corr)
+            np.testing.assert_array_equal(got_z, want_z)
+            steps[0] += want_steps
+            steps[1] += got_steps
+    assert steps[1] < steps[0]
+
+
+def _faces_solved(monkeypatch):
+    """The correlation block of every face ``_active_set`` solves."""
+    blocks = []
+    solve = allocation._face_minimizer
+
+    def spied(kkt, probe, try_lu):
+        blocks.append(kkt[:-1, :-1].copy())
+        return solve(kkt, probe, try_lu)
+
+    monkeypatch.setattr(allocation, "_face_minimizer", spied)
+    return blocks
+
+
+def _assert_faces(blocks, matrix, faces):
+    assert len(blocks) == len(faces)
+    for block, face in zip(blocks, faces):
+        np.testing.assert_array_equal(block, matrix[np.ix_(face, face)])
+
+
+@pytest.mark.parametrize("matrix", [
+    np.array([[1.0, 1.5], [1.5, 4.0]]),
+    np.array([[1.0, 1.9, 1.9], [1.9, 4.0, 3.5], [1.9, 3.5, 4.0]]),
+], ids=["m2", "m3"])
+def test_crash_to_a_one_asset_face(monkeypatch, matrix):
+    # on a correlation matrix the unconstrained minimizer always has two
+    # positive coordinates: with one, that asset's row of R z = lambda 1
+    # would force lambda >= 1, the variance of a single asset.  A
+    # covariance whose first asset hedges the others has one, and the walk
+    # solves it the same way.
+    blocks = _faces_solved(monkeypatch)
+    z, steps = _active_set(matrix)
+    _assert_faces(blocks, matrix, [range(matrix.shape[0]), [0]])
+    np.testing.assert_array_equal(z, np.eye(matrix.shape[0])[0])
+    assert steps == 2
+    assert active_set_lstsq(matrix)[1] == steps
+    np.testing.assert_array_equal(active_set_from_full_support(matrix)[0], z)
+
+
+def test_block_entry_drops_an_entrant_by_a_zero_length_step(monkeypatch):
+    # the crash lands on assets 0 and 3; assets 1 and 2 then enter
+    # together, the face minimizer puts -2e-4 on asset 1, and as an
+    # entrant it sits at zero, so it leaves by a step of length zero
+    b = np.random.default_rng(9416).standard_normal((5, 7))
+    corr = _correlations(b @ b.T)
+    blocks = _faces_solved(monkeypatch)
+    z, steps = _active_set(corr)
+    _assert_faces(blocks, corr, [range(5), [0, 3], [0, 1, 2, 3], [0, 2, 3]])
+    assert steps == 4
+    assert z[1] == z[4] == 0.0
+    _assert_same_walk(corr)
+    np.testing.assert_array_equal(active_set_from_full_support(corr)[0], z)
+
+
+@pytest.mark.parametrize("corr", [
+    np.ones((1, 1)),
+    np.array([[1.0, -0.9], [-0.9, 1.0]]),
+    np.array([[1.0, 0.3], [0.3, 1.0]]),
+], ids=["m1", "m2-negative", "m2-positive"])
+def test_one_or_two_assets_take_one_step(corr):
+    z, steps = _active_set(corr)
+    assert steps == 1
+    np.testing.assert_allclose(z, 1.0 / corr.shape[0], rtol=0.0,
+                               atol=1e-15)
+    _assert_same_walk(corr)
+    np.testing.assert_array_equal(active_set_from_full_support(corr)[0], z)
+
+
+def test_full_face_that_needs_least_squares_keeps_the_walk_from_all_assets():
+    # least squares finds this full face of full rank, but its minimum of
+    # z'Rz is 3.2e-11: a crash start stopped on a 35-asset face within the
+    # 1e-12 entry margin and failed the certificate, where the walk from
+    # all assets ends on the optimal 36-asset face
+    rng = np.random.default_rng(869)
+    sigma = _low_rank_factor_covariance(rng, int(rng.integers(5, 80)))
+    corr = _correlations(sigma)
+    result = optimize_variety(sigma)
+    want_z, want_steps = active_set_from_full_support(corr)
+    got_z, got_steps = _active_set(corr)
+    np.testing.assert_array_equal(got_z, want_z)
+    assert got_steps == want_steps == result.iterations
+
+
+def test_least_squares_failure_is_a_convergence_error(monkeypatch):
+    # an SVD that does not converge must surface as a ConvergenceError
+    # carrying the iterate, whichever face the walk meets it on
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(
+            "SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    with pytest.raises(ConvergenceError,
+                       match="least squares failed") as caught:
+        optimize_variety(_duplicated_asset(1.0))
+    iterate = caught.value.iterate
+    assert iterate.shape == (11,)
+    assert iterate.min() >= 0.0
+    assert iterate.sum() == pytest.approx(1.0)
+
+
 @pytest.mark.parametrize("decades", [12.0, 14.0])
 def test_certificate_does_not_move_with_asset_scales(decades):
     # volatilities spread over 12 or 14 decades: the solve on correlations
@@ -489,6 +626,18 @@ def _factor_covariances(draw):
     return (b @ b.T + np.diag(d)) * np.outer(scales, scales)
 
 
+def _low_rank_factor_covariance(rng, m):
+    """``D (B B' + diag(d)) D`` with ``d`` zero in ~30% of assets and down
+    to 1e-12 elsewhere, and ``D`` spread over six decades."""
+    k = rng.integers(1, m + 1)
+    b = rng.standard_normal((m, k))
+    d = (np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.0, 1.0, m))
+         * 10.0 ** rng.uniform(-12.0, 0.0))
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, m)
+    sigma = scales[:, None] * (b @ b.T + np.diag(d)) * scales[None, :]
+    return 0.5 * (sigma + sigma.T)
+
+
 @settings(max_examples=300)
 @given(sigma=_factor_covariances())
 # volatilities 1e105 apart: the certificate's gradient reaches 1e104 and
@@ -496,6 +645,10 @@ def _factor_covariances(draw):
 @example(sigma=np.array([[1.0, 4.41083863e-106, 4.41083863e-106],
                          [4.41083863e-106, 5.83664921e-211, 5.83664921e-211],
                          [4.41083863e-106, 5.83664921e-211, 5.83664921e-211]]))
+# a rank-deficient 75-asset covariance with variances 1e12 apart, on one
+# of whose faces least squares raised a raw LinAlgError (SVD did not
+# converge)
+@example(sigma=_low_rank_factor_covariance(np.random.default_rng(58), 75))
 def test_optimizer_on_factor_covariances_is_feasible_or_refuses(sigma):
     cfg = OptimizerConfig()
     try:

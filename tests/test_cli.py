@@ -393,6 +393,25 @@ def test_allocate_non_finite_cell_is_data_error(tmp_path, capsys, cell):
     assert "Traceback" not in err
 
 
+def test_allocate_least_squares_failure_exits_3(tmp_path, capsys,
+                                               monkeypatch):
+    # 12 assets over 8 days: the SCM is singular, so the walk solves its
+    # first face by least squares, here made to fail as an SVD can
+    returns = _synth_returns(tmp_path, m=12, N=8, seed=16)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(
+            "SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    code = _run("allocate", "--input", str(returns), "--estimator", "scm",
+                "--out", str(tmp_path / "alloc"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: least squares failed")
+    assert "Traceback" not in err
+
+
 def test_allocate_has_no_seed_flag(tmp_path, capsys):
     returns = _synth_returns(tmp_path, m=4, N=30, seed=15)
     code = _run("allocate", "--input", str(returns), "--seed", "1",
