@@ -143,9 +143,9 @@ class CleanConfig:
 class CleaningReport:
     """Everything the cleaning pipeline decided and produced.
 
-    ``robust_scatter`` is the first Tyler pass on the (demeaned) panel.  It
-    is kept for callers that need the raw robust estimate and stays out of
-    ``to_dict``.
+    ``robust_scatter`` is the first Tyler pass on the (demeaned) panel, with
+    the pass's sweep count and final residual.  It is kept for callers that
+    need the raw robust estimate and stays out of ``to_dict``.
     """
 
     k_hat: int

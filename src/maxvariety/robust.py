@@ -26,10 +26,15 @@ class ScatterMatrix:
 
     ``trace_m`` means the matrix trace equals its dimension (shape-only
     estimators); ``covariance_scale`` means entries are plain covariances.
+    An iterative estimate also records its ``sweeps`` (every fixed-point
+    sweep it took) and the ``residual`` its last sweep was accepted at;
+    both are None on a closed-form estimate.
     """
 
     values: np.ndarray
     normalization: str = "covariance_scale"
+    sweeps: int | None = None
+    residual: float | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -130,6 +135,13 @@ ANDERSON_DEPTH = 4
 # A Gram matrix of sweep differences, scaled to a unit diagonal, that is
 # worse conditioned than this marks a collinear history: it is dropped.
 _GRAM_COND_LIMIT = 1e8
+# Mixing starts at the first sweep that moves the iterate by less than this
+# (relative Frobenius norm).  Above it, on a panel with strong factors, the
+# bulk of the fixed point is still collapsing: mixing stalls there (near a
+# 1e-2 residual at three factors) and plain sweeps get through the
+# transient faster.  1e-2 cost m=40, N=252 windows of a weak one-factor
+# market about half a sweep each, which 2e-2 does not.
+_MIX_BELOW = 2e-2
 
 
 class _Anderson:
@@ -215,17 +227,23 @@ def tyler(panel, config: TylerConfig | None = None, *,
     quadratic forms from a Cholesky factor of the current iterate, and all
     sweeps of one call share one workspace for the m x N intermediates.
 
-    The iterates are Anderson mixed (Walker & Ni 2011): from the sweep
-    ``G(C)`` of each iterate ``C`` and the last ANDERSON_DEPTH differences
-    of sweeps and residuals ``G(C) - C``, the next iterate is the
-    combination of sweeps whose residuals combine to the least norm, put on
-    trace m.  The stop test is unchanged: the iteration returns the plain
-    sweep ``G(C)`` once ``|G(C) - C| / |C| < config.tol`` (Frobenius), so
-    the result is certified as a plain fixed-point loop's is.  A mixed
-    iterate that is not positive definite, or a history too collinear to
-    solve for the combination, is dropped: the iteration resumes from the
-    last plain sweep with an empty history.  A plain iterate (the start or
-    a sweep) that is not positive definite raises SingularMatrixError.
+    The iteration takes plain sweeps ``C <- G(C)`` until the first sweep
+    whose relative residual ``|G(C) - C| / |C|`` (Frobenius) is below
+    ``_MIX_BELOW``, where the plain iteration has entered its linear
+    regime; from then on the iterates are Anderson mixed (Walker & Ni
+    2011): from the sweep ``G(C)`` of each iterate ``C`` and the last
+    ANDERSON_DEPTH differences of sweeps and residuals ``G(C) - C``, the
+    next iterate is the combination of sweeps whose residuals combine to
+    the least norm, put on trace m.  The stop test is unchanged: the
+    iteration returns the plain sweep ``G(C)`` once its relative residual
+    is below ``config.tol``, so the result is certified as a plain
+    fixed-point loop's is, and it records the number of sweeps taken and
+    that residual in ``sweeps`` and ``residual``.  A mixed iterate that is
+    not positive definite, or a history too collinear to solve for the
+    combination, is dropped: the iteration resumes from the last plain
+    sweep with an empty history, and keeps mixing.  A plain iterate (the
+    start or a sweep) that is not positive definite raises
+    SingularMatrixError.
 
     The estimator assumes observations centered at zero and does not demean
     them.  Subtracting a plug-in mean first (``demean_rows``) gives every
@@ -256,9 +274,9 @@ def tyler(panel, config: TylerConfig | None = None, *,
     current = np.eye(m) if start is None else _check_start(start, m)
     white, scaled = np.empty((m, n)), np.empty((m, n))
     history = _Anderson(m * m)
-    plain, mixed = None, False
+    plain, mixing, mixed = None, False, False
     residual = np.inf
-    for _ in range(cfg.max_iter):
+    for sweeps in range(1, cfg.max_iter + 1):
         try:
             update = _tyler_step(panel, current, white, scaled)
         except SingularMatrixError:
@@ -274,8 +292,11 @@ def tyler(panel, config: TylerConfig | None = None, *,
         residual = np.linalg.norm(change) / np.linalg.norm(current)
         plain = update
         if residual < cfg.tol:
-            return ScatterMatrix(update, normalization="trace_m")
-        extrapolated = history.mix(change.ravel(), update.ravel())
+            return ScatterMatrix(update, normalization="trace_m",
+                                 sweeps=sweeps, residual=residual)
+        mixing = mixing or residual < _MIX_BELOW
+        extrapolated = (history.mix(change.ravel(), update.ravel())
+                        if mixing else None)
         mixed = extrapolated is not None
         if mixed:
             current = extrapolated.reshape(m, m)

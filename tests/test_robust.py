@@ -10,13 +10,13 @@ from hypothesis.extra.numpy import arrays
 
 import maxvariety.robust as robust
 
-from maxvariety import (ConvergenceError, DegenerateDataError,
+from maxvariety import (CleanConfig, ConvergenceError, DegenerateDataError,
                         EigenvalueFloorWarning, FactorModelSpec,
-                        InsufficientSamplesError, ParameterError,
-                        ScatterMatrix, SingularMatrixError, TylerConfig,
-                        clean_covariance, fixed_point_residual, gen_panel,
-                        gen_toeplitz_scatter, inv_sqrt, mp_upper_bound, scm,
-                        toeplitzify, tyler)
+                        InsufficientSamplesError, MaxVarietyError,
+                        ParameterError, ScatterMatrix, SingularMatrixError,
+                        TylerConfig, clean_covariance, fixed_point_residual,
+                        gen_panel, gen_toeplitz_scatter, inv_sqrt,
+                        mp_upper_bound, scm, toeplitzify, tyler)
 from maxvariety.robust import _tyler_step
 
 
@@ -217,19 +217,27 @@ def test_tyler_falls_back_to_plain_sweep_when_mixing_fails(monkeypatch):
     returns = gen_panel(FactorModelSpec(m=40, N=400, K=3, rho=0.8, nu=0.5,
                                         factor_snr=10.0, seed=5)).returns
     want, _ = _plain_tyler(returns)
-    first = _sweep(returns, np.eye(40))
-    second = _sweep(returns, first)
-    fourth = _sweep(returns, second)
-    calls = _counting_sweeps(monkeypatch, reject={3})
+    # plain sweeps run until sweep j moves its iterate by less than
+    # _MIX_BELOW; sweep j + 1 is plain too, since the history then holds one
+    # sweep, and sweep j + 2 is the first mixed iterate
+    plain = [np.eye(40), _sweep(returns, np.eye(40))]
+    while (np.linalg.norm(plain[-1] - plain[-2])
+           >= robust._MIX_BELOW * np.linalg.norm(plain[-2])):
+        plain.append(_sweep(returns, plain[-1]))
+    j = len(plain) - 1
+    plain.append(_sweep(returns, plain[j]))
+    after = _sweep(returns, plain[j + 1])
+    calls = _counting_sweeps(monkeypatch, reject={j + 2})
     got = tyler(returns).values
-    # sweeps 1 and 2 are plain and sweep 3 is the first mixed iterate; after
-    # its rejection sweep 4 restarts from sweep 2's output, and sweep 5
-    # mixes sweeps 2 and 4 alone: the history before the failure is gone
-    mixed = _secant(np.eye(40), first, first, second)
-    assert np.linalg.norm(calls[2] - mixed) <= 1e-10 * np.linalg.norm(mixed)
-    np.testing.assert_array_equal(calls[3], second)
-    restart = _secant(first, second, second, fourth)
-    assert (np.linalg.norm(calls[4] - restart)
+    # after the rejection sweep j + 3 restarts from sweep j + 1's output,
+    # and sweep j + 4 mixes sweeps j + 1 and j + 3 alone: the history
+    # before the failure is gone
+    mixed = _secant(plain[j - 1], plain[j], plain[j], plain[j + 1])
+    assert (np.linalg.norm(calls[j + 1] - mixed)
+            <= 1e-10 * np.linalg.norm(mixed))
+    np.testing.assert_array_equal(calls[j + 2], plain[j + 1])
+    restart = _secant(plain[j], plain[j + 1], plain[j + 1], after)
+    assert (np.linalg.norm(calls[j + 3] - restart)
             <= 1e-10 * np.linalg.norm(restart))
     assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
     assert fixed_point_residual(returns, got) < 1e-7
@@ -276,6 +284,113 @@ def test_tyler_nonconvergence_carries_the_last_plain_sweep(monkeypatch):
     assert info.value.residual == pytest.approx(
         np.linalg.norm(last - calls[-1]) / np.linalg.norm(calls[-1]),
         rel=1e-12)
+
+
+def _sweep_trail(monkeypatch):
+    # record every sweep as [iterate, its sweep put on trace m]; the second
+    # entry stays None when the sweep raised
+    trail = []
+    step = robust._tyler_step
+
+    def recorded(panel, current, *buffers):
+        trail.append([current.copy(), None])
+        update = step(panel, current, *buffers)
+        trail[-1][1] = update * (panel.shape[0] / np.trace(update))
+        return update
+
+    monkeypatch.setattr(robust, "_tyler_step", recorded)
+    return trail
+
+
+def _factor_panel(k, seed):
+    # the model of the allocate-spiked and order-null benchmark panels
+    return gen_panel(FactorModelSpec(m=100, N=1000, K=k, rho=0.8, nu=0.5,
+                                     factor_snr=10.0, seed=seed)).returns
+
+
+@pytest.mark.parametrize("k, allowed", [(3, range(1, 18)), (0, [8])])
+def test_clean_records_pass_one_sweeps(monkeypatch, k, allowed):
+    for seed in range(10001, 10005):
+        trail = _sweep_trail(monkeypatch)
+        report = clean_covariance(_factor_panel(k, seed),
+                                  CleanConfig(demean=False))
+        fit = report.robust_scatter
+        # pass 2 starts at its fixed point and takes one sweep
+        assert fit.sweeps == len(trail) - 1
+        assert fit.sweeps in allowed
+        iterate, swept = trail[fit.sweeps - 1]
+        np.testing.assert_array_equal(swept, fit.values)
+        assert fit.residual == (np.linalg.norm(swept - iterate)
+                                / np.linalg.norm(iterate))
+        assert fit.residual < TylerConfig().tol
+        assert "sweeps" not in report.to_dict()
+
+
+def test_tyler_rejects_no_mixed_iterate_on_one_factor_panels(monkeypatch):
+    for seed in range(10001, 10009):
+        trail = _sweep_trail(monkeypatch)
+        fit = tyler(_factor_panel(1, seed))
+        assert fit.sweeps == len(trail)
+        assert all(swept is not None for _, swept in trail)
+
+
+def test_tyler_sweeps_count_a_rejected_mixed_iterate(monkeypatch):
+    # mixing from the first sweep makes sweep 3 the first mixed iterate
+    returns = _noise_panel(20, 200, rho=0.6, nu=0.5, seed=13).returns
+    monkeypatch.setattr(robust, "_MIX_BELOW", np.inf)
+    calls = _counting_sweeps(monkeypatch, reject={3})
+    assert tyler(returns).sweeps == len(calls)
+
+
+def test_tyler_failure_at_the_plain_sweep_after_a_fallback_raises(
+        monkeypatch):
+    # sweep 3 is mixed and rejected; sweep 4 runs at the plain sweep 2
+    returns = _noise_panel(20, 200, rho=0.6, nu=0.5, seed=13).returns
+    monkeypatch.setattr(robust, "_MIX_BELOW", np.inf)
+    _counting_sweeps(monkeypatch, reject={3, 4})
+    with pytest.raises(SingularMatrixError, match="positive definite"):
+        tyler(returns)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_tyler_mixes_only_after_a_sweep_below_the_mixing_residual(
+        monkeypatch, k):
+    trail = _sweep_trail(monkeypatch)
+    tyler(_factor_panel(k, 10001))
+    plain = [np.array_equal(after, swept)
+             for (_, swept), (after, _) in zip(trail, trail[1:])]
+    residuals = [np.inf if swept is None else
+                 np.linalg.norm(swept - iterate) / np.linalg.norm(iterate)
+                 for iterate, swept in trail]
+    first = next(i for i, residual in enumerate(residuals)
+                 if residual < robust._MIX_BELOW)
+    # every iterate up to the sweep after the first one below _MIX_BELOW
+    # is the last plain sweep; after that the iterates are mixed
+    assert all(plain[:first + 1])
+    assert not all(plain[first + 1:])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(2, 30), extra=st.integers(1, 60), k=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1),
+       scales=arrays(float, 30, elements=st.floats(1e-3, 1e3)))
+def test_tyler_agrees_with_the_plain_loop_or_refuses(m, extra, k, seed,
+                                                     scales):
+    # with N close to m a plain sweep contracts by ~0.997, so at the default
+    # tol either loop may stop ~3e-6 from the fixed point: both run at 1e-12
+    rng = np.random.default_rng(seed)
+    k = min(k, m - 1)
+    loadings = 5.0 * rng.standard_normal((m, k))
+    panel = scales[:m, None] * (
+        loadings @ rng.standard_normal((k, m + extra))
+        + rng.standard_normal((m, m + extra)))
+    cfg = TylerConfig(tol=1e-12, max_iter=2000)
+    try:
+        got = tyler(panel, cfg).values
+    except MaxVarietyError:
+        return
+    want, _ = _plain_tyler(panel, TylerConfig(tol=1e-12, max_iter=100_000))
+    assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
 
 
 def test_fixed_point_residual_rejects_indefinite_scatter():
