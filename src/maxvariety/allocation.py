@@ -24,40 +24,25 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateDataError, ParameterError
 
 
-def _finite_square(sigma) -> np.ndarray:
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ParameterError("covariance must be a square matrix")
-    bad = np.argwhere(~np.isfinite(sigma))
-    if bad.size:
-        row, col = bad[0]
-        raise DegenerateDataError(
-            f"covariance entry ({row}, {col}) is not finite: "
-            f"{sigma[row, col]!r}")
-    return sigma
-
-
 @dataclass
 class CovarianceInput:
-    """A covariance matrix plus the volatility vector drawn from its diagonal."""
+    """A symmetric covariance matrix with finite entries and a positive
+    diagonal, and the per-asset volatilities ``vols = sqrt(diag(sigma))``
+    that the variety ratio divides by."""
 
     sigma: np.ndarray
-    vols: np.ndarray
+    vols: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.sigma = _finite_square(self.sigma)
-        self.vols = np.asarray(self.vols, dtype=float)
-        if self.vols.shape != (self.sigma.shape[0],):
-            raise ParameterError("vols length must match covariance dimension")
-        bad = np.flatnonzero(~np.isfinite(self.vols))
+        sigma = self.sigma = np.asarray(self.sigma, dtype=float)
+        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+            raise ParameterError("covariance must be a square matrix")
+        bad = np.argwhere(~np.isfinite(sigma))
         if bad.size:
+            row, col = bad[0]
             raise DegenerateDataError(
-                f"volatility of asset {bad[0]} is not finite: "
-                f"{self.vols[bad[0]]!r}")
-
-    @classmethod
-    def from_covariance(cls, sigma) -> CovarianceInput:
-        sigma = _finite_square(sigma)
+                f"covariance entry ({row}, {col}) is not finite: "
+                f"{sigma[row, col]!r}")
         scale = max(np.abs(sigma).max(), 1.0)
         if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
             raise ParameterError("covariance must be symmetric")
@@ -66,7 +51,7 @@ class CovarianceInput:
         if bad.size:
             raise DegenerateDataError(
                 f"asset {bad[0]} has non-positive variance")
-        return cls(sigma, np.sqrt(diag))
+        self.vols = np.sqrt(diag)
 
 
 @dataclass
@@ -96,7 +81,7 @@ class WeightVector:
 def _as_cov(cov) -> CovarianceInput:
     if isinstance(cov, CovarianceInput):
         return cov
-    return CovarianceInput.from_covariance(cov)
+    return CovarianceInput(cov)
 
 
 def _as_weights(weights) -> np.ndarray:
@@ -219,19 +204,17 @@ def _active_set(corr: np.ndarray) -> tuple[np.ndarray, int]:
     minimizer.  When LU solved that face (so it is well away from
     singular) and its target is negative in some coordinates, the walk
     crash-starts: the iterate becomes ``max(target, 0)`` rescaled onto the
-    simplex, and the face its positive coordinates, rather than dropping
-    the negative ones one step each.  On a walk that crashed, every
-    undercutting asset enters at once, except from a face that least
-    squares solved, where only the lowest index enters.  A full face that
-    needs least squares keeps the walk from all assets, one asset per
-    step, with the lowest undercutting index entering (Bland's rule,
-    against cycling on degenerate faces).  Such a face is singular or
+    simplex, and the face its positive coordinates.  On a walk that
+    crashed, every undercutting asset enters at once, except from a face
+    that least squares solved, where only the lowest index enters.  A full
+    face that needs least squares keeps the walk from all assets, one
+    asset per step, with the lowest undercutting index entering (Bland's
+    rule, against cycling on degenerate faces).  Such a face is singular or
     nearly so, and the minimum of ``z' R z`` can be so small that the fixed
     1e-12 entry margin is a few percent of the multiplier: another path
-    could then stop on another face within that margin.  Block entry is
-    what makes the crash pay: the face of the positive coordinates usually
-    lacks several assets of the optimum, and entering them one step each
-    doubled the steps on random Wishart correlations.
+    could then stop on another face within that margin.  A crashed walk
+    enters in blocks because the face of the positive coordinates usually
+    lacks several assets of the optimum.
 
     A crashed walk still ends.  Its full face is nonsingular, which makes
     every face strictly convex.  Each entering asset undercuts the multiplier by more

@@ -230,8 +230,6 @@ def run_backtest(panel: PricePanel,
     ratios = []
     rebalance_dates = []
     wealth_values = [100.0]
-    price_indices = [schedule[0][1]]
-    wealth_dates = [panel.dates[schedule[0][1]].isoformat()]
 
     previous_weights = np.zeros(m)
     for fit_start, decision, hold_end in schedule:
@@ -257,8 +255,9 @@ def run_backtest(panel: PricePanel,
         for h in range(decision, hold_end):
             positions = positions * (1.0 + returns[:, h])
             wealth_values.append(float(positions.sum()))
-            price_indices.append(h + 1)
-            wealth_dates.append(panel.dates[h + 1].isoformat())
+    # the holding periods tile [first decision, last hold end), so wealth
+    # is valued on every price date of this one span
+    span = slice(schedule[0][1], schedule[-1][2] + 1)
 
     wealth = np.asarray(wealth_values)
     if np.any(wealth <= 0.0):
@@ -270,7 +269,7 @@ def run_backtest(panel: PricePanel,
     benchmark_wealth = None
     benchmark_summary = None
     if benchmark_prices is not None:
-        track = benchmark_prices[price_indices]
+        track = benchmark_prices[span]
         # divide first so the path starts at exactly 100.0
         benchmark_wealth = 100.0 * (track / track[0])
         benchmark_summary = perf_stats(benchmark_wealth,
@@ -282,7 +281,8 @@ def run_backtest(panel: PricePanel,
                           turnover=np.asarray(turnovers),
                           k_hat=k_hats,
                           variety_ratios=np.asarray(ratios),
-                          wealth_dates=wealth_dates,
+                          wealth_dates=[day.isoformat()
+                                        for day in panel.dates[span]],
                           wealth=wealth,
                           summary=summary,
                           benchmark_label=cfg.benchmark,

@@ -72,6 +72,18 @@ def _csv_rows(text: str, path) -> list[list[str]]:
         raise IngestionError(f"{path}: malformed CSV: {exc}") from exc
 
 
+def _labels(header, path) -> list[str]:
+    """The asset labels of a CSV header, all fields after the first; a
+    label that heads two columns raises IngestionError naming both."""
+    columns = {}
+    for c, label in enumerate(header[1:], start=2):
+        if columns.setdefault(label, c) != c:
+            raise IngestionError(
+                f"{path}: label {label!r} heads columns {columns[label]} "
+                f"and {c}")
+    return header[1:]
+
+
 def _read_csv(path, what: str, key=str):
     """The text of a UTF-8 CSV file, and ``(header, keys, cells)`` if plain.
 
@@ -115,7 +127,8 @@ def load_returns_csv(path) -> ReturnsPanel:
     """Read a panel written by :func:`save_returns_csv`.
 
     Raises :class:`IngestionError` naming the offending row and column when a
-    cell is missing, not numeric, or not finite (``nan``, ``inf``).
+    cell is missing, not numeric, or not finite (``nan``, ``inf``), and
+    naming both columns when a label heads two.
     """
     content, plain = _read_csv(path, "returns")
     if plain is not None:
@@ -149,7 +162,7 @@ def load_returns_csv(path) -> ReturnsPanel:
             raise IngestionError(
                 f"{path}: row {r + 2}, column {c + 2} ({header[c + 1]!r}): "
                 f"not finite: {body[r][c + 1]!r}")
-    return ReturnsPanel(cells.T, labels=header[1:], timestamps=keys)
+    return ReturnsPanel(cells.T, labels=_labels(header, path), timestamps=keys)
 
 
 MISSING_POLICIES = ("error", "forward_fill")
@@ -178,8 +191,8 @@ class PricePanel:
 def load_prices(path, missing_policy: str = "error") -> PricePanel:
     """Read a ``Date,<label>,...`` CSV of prices.
 
-    Dates must be ISO formatted and strictly increasing; prices must be
-    finite and positive.  Empty cells are errors under the default policy,
+    Labels must be distinct, dates ISO formatted and strictly increasing,
+    and prices finite and positive.  Empty cells are errors under the default policy,
     or copied from the previous date under ``forward_fill`` (leading gaps
     are always errors).  Per-asset fill counts are kept on the returned
     panel.  Blank lines are skipped but keep their number in error rows.
@@ -191,12 +204,13 @@ def load_prices(path, missing_policy: str = "error") -> PricePanel:
         header, dates, cells = plain
         if ((cells > 0.0).all()
                 and all(a < b for a, b in zip(dates, dates[1:]))):
-            return PricePanel(dates, np.ascontiguousarray(cells.T), header[1:],
-                              dict.fromkeys(header[1:], 0))
+            labels = _labels(header, path)
+            return PricePanel(dates, np.ascontiguousarray(cells.T), labels,
+                              dict.fromkeys(labels, 0))
     rows = _csv_rows(content, path)
     if not rows or len(rows[0]) < 2:
         raise IngestionError(f"{path}: missing header row with asset labels")
-    labels = rows[0][1:]
+    labels = _labels(rows[0], path)
     body = [(r, row) for r, row in enumerate(rows[1:], start=2) if row]
     if len(body) < 1:
         raise IngestionError(f"{path}: no price rows")

@@ -17,22 +17,18 @@ from .errors import (ConvergenceError, DegenerateDataError,
                      EigenvalueFloorWarning, InsufficientSamplesError,
                      ParameterError, SingularMatrixError)
 
-NORMALIZATIONS = ("trace_m", "covariance_scale")
-
 
 @dataclass
 class ScatterMatrix:
-    """A symmetric scatter estimate plus its normalization convention.
+    """A square symmetric scatter estimate, at the scale of the estimator
+    that made it.
 
-    ``trace_m`` means the matrix trace equals its dimension (shape-only
-    estimators); ``covariance_scale`` means entries are plain covariances.
     An iterative estimate also records its ``sweeps`` (every fixed-point
     sweep it took) and the ``residual`` its last sweep was accepted at;
     both are None on a closed-form estimate.
     """
 
     values: np.ndarray
-    normalization: str = "covariance_scale"
     sweeps: int | None = None
     residual: float | None = None
 
@@ -40,9 +36,6 @@ class ScatterMatrix:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
             raise ParameterError("scatter matrix must be square")
-        if self.normalization not in NORMALIZATIONS:
-            raise ParameterError(
-                f"unknown normalization {self.normalization!r}")
 
 
 def _as_matrix(scatter) -> np.ndarray:
@@ -85,7 +78,7 @@ def scm(panel, demean: bool = False) -> ScatterMatrix:
     cov = 0.5 * (cov + cov.T)
     if not np.any(cov):
         raise SingularMatrixError("sample covariance is identically zero")
-    return ScatterMatrix(cov, normalization="covariance_scale")
+    return ScatterMatrix(cov)
 
 
 @dataclass(frozen=True)
@@ -292,8 +285,7 @@ def tyler(panel, config: TylerConfig | None = None, *,
         residual = np.linalg.norm(change) / np.linalg.norm(current)
         plain = update
         if residual < cfg.tol:
-            return ScatterMatrix(update, normalization="trace_m",
-                                 sweeps=sweeps, residual=residual)
+            return ScatterMatrix(update, sweeps=sweeps, residual=residual)
         mixing = mixing or residual < _MIX_BELOW
         extrapolated = (history.mix(change.ravel(), update.ravel())
                         if mixing else None)

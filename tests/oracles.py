@@ -38,7 +38,7 @@ def _lattice_blocks(m: int, ticks: int):
 def brute_force_vr(sigma, step: float) -> WeightVector:
     """Best simplex lattice point for the variety ratio at the given
     spacing; an exhaustive search, so small m only."""
-    cov = CovarianceInput.from_covariance(sigma)
+    cov = CovarianceInput(sigma)
     m = cov.sigma.shape[0]
     if m > 4:
         raise ParameterError(

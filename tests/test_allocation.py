@@ -222,7 +222,7 @@ def test_optimizer_agrees_with_min_variance_form():
 
 
 def _correlations(sigma):
-    cov = CovarianceInput.from_covariance(sigma)
+    cov = CovarianceInput(sigma)
     return cov.sigma / np.outer(cov.vols, cov.vols)
 
 
@@ -576,11 +576,7 @@ def test_covariance_input_rejects_non_finite_entries():
     sigma = np.eye(3)
     sigma[2, 1] = sigma[1, 2] = np.nan
     with pytest.raises(DegenerateDataError, match=r"\(1, 2\)"):
-        CovarianceInput.from_covariance(sigma)
-    with pytest.raises(DegenerateDataError, match=r"\(1, 2\)"):
-        CovarianceInput(sigma, np.ones(3))
-    with pytest.raises(DegenerateDataError, match="asset 0"):
-        CovarianceInput(np.eye(3), [np.inf, 1.0, 1.0])
+        CovarianceInput(sigma)
     with pytest.raises(DegenerateDataError):
         optimize_variety(np.diag([1.0, np.inf]))
 
@@ -666,13 +662,13 @@ def test_optimizer_on_factor_covariances_is_feasible_or_refuses(sigma):
 
 def test_covariance_input_from_covariance():
     sigma = np.array([[4.0, 0.6], [0.6, 1.0]])
-    cov = CovarianceInput.from_covariance(sigma)
+    cov = CovarianceInput(sigma)
     np.testing.assert_allclose(cov.vols, [2.0, 1.0])
 
 
 def test_covariance_input_rejects_asymmetry():
     with pytest.raises(ParameterError):
-        CovarianceInput.from_covariance(np.array([[1.0, 0.5], [0.2, 1.0]]))
+        CovarianceInput(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
 def test_weight_vector_validate():

@@ -323,6 +323,27 @@ def test_clean_missing_input_is_data_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["allocate", "backtest"])
+def test_repeated_label_is_data_error(tmp_path, capsys, command):
+    path = tmp_path / "input.csv"
+    if command == "allocate":
+        path.write_text("t,A,B,A\n0,1.0,2.0,3.0\n1,0.5,0.1,0.2\n"
+                        "2,-0.5,0.3,0.1\n")
+        argv = ["--input", str(path), "--estimator", "scm"]
+    else:
+        _write_price_csv(path, m=3, t=61)
+        path.write_text(path.read_text().replace("A002", "A000", 1))
+        argv = ["--prices", str(path), "--window-days", "20",
+                "--rebalance-days", "10"]
+    out = tmp_path / "out"
+    assert _run(command, *argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(path) in err
+    label = "A" if command == "allocate" else "A000"
+    assert f"label {label!r} heads columns 2 and 4" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("defect", ["non_utf8", "long_field"])
 @pytest.mark.parametrize("command", ["clean", "backtest"])
 def test_undecodable_or_oversized_csv_is_data_error(tmp_path, capsys,

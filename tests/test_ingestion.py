@@ -261,6 +261,32 @@ def test_loaders_match_reference_on_generated_text(tmp_path_factory, text):
     _assert_loaders_agree(path)
 
 
+# the reference loaders above accept a repeated label, so these files are
+# checked here and not in EXAMPLES; a quoted cell sends a file to the walk
+REPEATED_LABELS = {
+    "returns_one_pass": ("t,A,B,A\n0,1.0,2.0,3.0\n1,0.5,0.1,0.2\n", True),
+    "returns_cell_walk": ('t,A,B,A\n0,"1.0",2.0,3.0\n1,0.5,0.1,0.2\n', False),
+    "prices_one_pass": ("Date,A,B,A\n2024-01-02,1.0,2.0,3.0\n"
+                        "2024-01-03,1.5,2.5,3.5\n", True),
+    "prices_cell_walk": ('Date,A,B,A\n2024-01-02,"1.0",2.0,3.0\n'
+                         "2024-01-03,1.5,2.5,3.5\n", False),
+}
+
+
+@pytest.mark.parametrize("text, plain", REPEATED_LABELS.values(),
+                         ids=REPEATED_LABELS.keys())
+def test_repeated_label_is_rejected(tmp_path, text, plain):
+    path = tmp_path / "input.csv"
+    path.write_bytes(text.encode())
+    prices = text.startswith("Date")
+    key = datetime.date.fromisoformat if prices else str
+    assert (panels._read_csv(path, "input", key=key)[1] is not None) == plain
+    load = load_prices if prices else load_returns_csv
+    with pytest.raises(IngestionError) as caught:
+        load(path)
+    assert str(caught.value) == f"{path}: label 'A' heads columns 2 and 4"
+
+
 def test_written_csvs_take_the_one_pass_parser(tmp_path):
     # the cell walk is for bad or unusual files only
     rng = np.random.default_rng(0)

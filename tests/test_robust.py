@@ -13,7 +13,7 @@ import maxvariety.robust as robust
 from maxvariety import (CleanConfig, ConvergenceError, DegenerateDataError,
                         EigenvalueFloorWarning, FactorModelSpec,
                         InsufficientSamplesError, MaxVarietyError,
-                        ParameterError, ScatterMatrix, SingularMatrixError,
+                        ParameterError, SingularMatrixError,
                         TylerConfig, clean_covariance, fixed_point_residual,
                         gen_panel, gen_toeplitz_scatter, inv_sqrt,
                         mp_upper_bound, scm, toeplitzify, tyler)
@@ -32,7 +32,6 @@ def _noise_panel(m, n, rho, nu, seed):
 def test_scm_single_column_outer_product():
     got = scm(np.array([[1.0], [2.0]]), demean=False)
     np.testing.assert_array_equal(got.values, [[1.0, 2.0], [2.0, 4.0]])
-    assert got.normalization == "covariance_scale"
 
 
 def test_scm_zero_panel_is_singular():
@@ -73,7 +72,6 @@ def test_scm_demean_flag():
 def test_tyler_m1_is_unit():
     got = tyler(np.array([[0.5, -2.0, 3.0]]))
     np.testing.assert_allclose(got.values, [[1.0]])
-    assert got.normalization == "trace_m"
 
 
 def test_tyler_trace_and_symmetry():
@@ -606,11 +604,3 @@ def test_whiten_with_true_scatter_lands_in_mp_support():
     lower = (1.0 - np.sqrt(c)) ** 2
     assert eigs.max() < upper * 1.05
     assert eigs.min() > lower * 0.85
-
-
-# ---------------------------------------------------------------- ScatterMatrix
-
-
-def test_scatter_matrix_unknown_tag():
-    with pytest.raises(ParameterError):
-        ScatterMatrix(np.eye(2), normalization="whatever")
