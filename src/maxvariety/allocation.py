@@ -26,9 +26,9 @@ from .errors import ConvergenceError, DegenerateDataError, ParameterError
 
 @dataclass
 class CovarianceInput:
-    """A symmetric covariance matrix with finite entries and a positive
-    diagonal, and the per-asset volatilities ``vols = sqrt(diag(sigma))``
-    that the variety ratio divides by."""
+    """A non-empty symmetric covariance matrix with finite entries and a
+    positive diagonal, and the per-asset volatilities
+    ``vols = sqrt(diag(sigma))`` that the variety ratio divides by."""
 
     sigma: np.ndarray
     vols: np.ndarray = field(init=False)
@@ -37,6 +37,8 @@ class CovarianceInput:
         sigma = self.sigma = np.asarray(self.sigma, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ParameterError("covariance must be a square matrix")
+        if not sigma.size:
+            raise ParameterError("covariance is empty: no assets")
         bad = np.argwhere(~np.isfinite(sigma))
         if bad.size:
             row, col = bad[0]

@@ -29,7 +29,10 @@ class ReturnsPanel:
     timestamps: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        # row-major whatever the source (a CSV parse gives the transpose):
+        # every Tyler sweep runs its panel-wide products on this layout,
+        # and equal values then give equal bytes downstream
+        self.values = np.ascontiguousarray(self.values, dtype=float)
         if self.values.ndim != 2:
             raise ParameterError("returns panel must be a 2-d array")
         m, n = self.values.shape
@@ -72,16 +75,29 @@ def _csv_rows(text: str, path) -> list[list[str]]:
         raise IngestionError(f"{path}: malformed CSV: {exc}") from exc
 
 
+def _repeat(labels):
+    """The first label that occurs twice and both its positions, or None."""
+    first = {}
+    for i, label in enumerate(labels):
+        if first.setdefault(label, i) != i:
+            return label, first[label], i
+    return None
+
+
 def _labels(header, path) -> list[str]:
     """The asset labels of a CSV header, all fields after the first; a
     label that heads two columns raises IngestionError naming both."""
-    columns = {}
-    for c, label in enumerate(header[1:], start=2):
-        if columns.setdefault(label, c) != c:
-            raise IngestionError(
-                f"{path}: label {label!r} heads columns {columns[label]} "
-                f"and {c}")
+    repeat = _repeat(header[1:])
+    if repeat:
+        label, a, b = repeat
+        raise IngestionError(
+            f"{path}: label {label!r} heads columns {a + 2} and {b + 2}")
     return header[1:]
+
+
+# loadtxt reads the key column through this and drops it: reading every
+# column makes it reject any line whose field count differs from the first's
+_KEY_COLUMN = {0: lambda key: 0.0}
 
 
 def _read_csv(path, what: str, key=str):
@@ -106,21 +122,21 @@ def _read_csv(path, what: str, key=str):
     if lines and not lines[-1]:
         lines.pop()
     if (width < 2 or not lines or stream.read()  # a lone CR ended the header
+            or not lines[0].rstrip("\r")  # loadtxt warns on a blank body
             or text.find('"', len(head)) >= 0
-            or max(map(len, lines)) > csv.field_size_limit()
-            or text.count(",", len(head)) != (width - 1) * len(lines)):
+            or max(map(len, lines)) > csv.field_size_limit()):
         return text, None
     try:
-        cells = np.loadtxt(lines, delimiter=",", usecols=range(1, width),
+        cells = np.loadtxt(lines, delimiter=",", converters=_KEY_COLUMN,
                            comments=None, ndmin=2)
         keys = [key(line.partition(",")[0]) for line in lines]
     except ValueError:
         return text, None
-    # loadtxt skips blank lines and rejects short ones: with the comma total
-    # above, the full shape means the header's field count on every line
-    if cells.shape != (len(lines), width - 1) or not np.isfinite(cells).all():
+    # loadtxt skips blank lines and gives every line the first's field
+    # count: the full shape means the header's count on every line
+    if cells.shape != (len(lines), width) or not np.isfinite(cells).all():
         return text, None
-    return text, (header, keys, cells)
+    return text, (header, keys, cells[:, 1:])
 
 
 def load_returns_csv(path) -> ReturnsPanel:
@@ -170,7 +186,12 @@ MISSING_POLICIES = ("error", "forward_fill")
 
 @dataclass
 class PricePanel:
-    """Dated price history, one row per asset and one column per date."""
+    """Dated price history, one row per asset and one column per date,
+    stored row-major like a :class:`ReturnsPanel`.
+
+    Labels must be distinct: a repeated one raises ParameterError naming
+    both rows.
+    """
 
     dates: list[datetime.date]
     prices: np.ndarray
@@ -178,12 +199,17 @@ class PricePanel:
     fill_counts: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.prices = np.asarray(self.prices, dtype=float)
+        self.prices = np.ascontiguousarray(self.prices, dtype=float)
         if self.prices.ndim != 2:
             raise ParameterError("prices must be a 2-d array")
         m, t = self.prices.shape
         if len(self.labels) != m:
             raise ParameterError(f"{len(self.labels)} labels for {m} assets")
+        repeat = _repeat(self.labels)
+        if repeat:
+            label, a, b = repeat
+            raise ParameterError(
+                f"label {label!r} names price rows {a} and {b}")
         if len(self.dates) != t:
             raise ParameterError(f"{len(self.dates)} dates for {t} columns")
 
@@ -205,8 +231,7 @@ def load_prices(path, missing_policy: str = "error") -> PricePanel:
         if ((cells > 0.0).all()
                 and all(a < b for a, b in zip(dates, dates[1:]))):
             labels = _labels(header, path)
-            return PricePanel(dates, np.ascontiguousarray(cells.T), labels,
-                              dict.fromkeys(labels, 0))
+            return PricePanel(dates, cells.T, labels, dict.fromkeys(labels, 0))
     rows = _csv_rows(content, path)
     if not rows or len(rows[0]) < 2:
         raise IngestionError(f"{path}: missing header row with asset labels")

@@ -97,7 +97,7 @@ class TylerConfig:
 
 
 def _tyler_step(panel: np.ndarray, current: np.ndarray, white=None,
-                scaled=None) -> np.ndarray:
+                scaled=None, quad=None) -> np.ndarray:
     """One fixed-point sweep: reweight samples by their Mahalanobis norm.
 
     With the Cholesky factor ``current = L L'``, the norm ``r' C^{-1} r`` of
@@ -105,15 +105,19 @@ def _tyler_step(panel: np.ndarray, current: np.ndarray, white=None,
     one matrix product give all N of them.  ``white`` and ``scaled`` are
     optional m x N float buffers for the two panel-sized intermediates; a
     caller that sweeps many times passes the same pair to every sweep.
+    ``quad``, when given, holds those N norms already and the sweep skips
+    the factor and the product: at ``current = I`` they are the samples'
+    sums of squares, and the sweep is bit-identical to the factored one.
     """
     m, n = panel.shape
-    try:
-        factor = np.linalg.cholesky(current)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            "scatter iterate lost positive definiteness") from exc
-    white = np.matmul(np.linalg.inv(factor), panel, out=white)
-    quad = np.einsum("ij,ij->j", white, white)
+    if quad is None:
+        try:
+            factor = np.linalg.cholesky(current)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(
+                "scatter iterate lost positive definiteness") from exc
+        white = np.matmul(np.linalg.inv(factor), panel, out=white)
+        quad = np.einsum("ij,ij->j", white, white)
     if not np.all(quad > 0.0):
         raise SingularMatrixError(
             "scatter iterate lost positive definiteness")
@@ -217,8 +221,10 @@ def tyler(panel, config: TylerConfig | None = None, *,
     positive definite raises SingularMatrixError.  Per-sample scale factors
     cancel inside the quadratic form, so the estimate ignores any
     heavy-tailed radial component of the data.  Each sweep takes the
-    quadratic forms from a Cholesky factor of the current iterate, and all
-    sweeps of one call share one workspace for the m x N intermediates.
+    quadratic forms from a Cholesky factor of the current iterate, except a
+    first sweep from the identity, which reads them off the observations'
+    sums of squares (computed once, also to find an all-zero observation);
+    all sweeps of one call share one workspace for the m x N intermediates.
 
     The iteration takes plain sweeps ``C <- G(C)`` until the first sweep
     whose relative residual ``|G(C) - C| / |C|`` (Frobenius) is below
@@ -258,20 +264,23 @@ def tyler(panel, config: TylerConfig | None = None, *,
     if n <= m:
         raise InsufficientSamplesError(
             f"need more observations than assets, got m={m}, N={n}")
-    norms = np.linalg.norm(panel, axis=0)
-    dead = np.flatnonzero(norms == 0.0)
+    squares = np.einsum("ij,ij->j", panel, panel)
+    dead = np.flatnonzero(squares == 0.0)
     if dead.size:
         raise DegenerateDataError(
             f"observation {dead[0]} is identically zero")
 
-    current = np.eye(m) if start is None else _check_start(start, m)
+    # a sweep from the identity takes its quadratic forms from ``squares``
+    current, first = ((np.eye(m), squares) if start is None
+                      else (_check_start(start, m), None))
     white, scaled = np.empty((m, n)), np.empty((m, n))
     history = _Anderson(m * m)
     plain, mixing, mixed = None, False, False
     residual = np.inf
     for sweeps in range(1, cfg.max_iter + 1):
         try:
-            update = _tyler_step(panel, current, white, scaled)
+            update = _tyler_step(panel, current, white, scaled,
+                                 first if sweeps == 1 else None)
         except SingularMatrixError:
             if not mixed:
                 raise

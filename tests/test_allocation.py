@@ -666,6 +666,16 @@ def test_covariance_input_from_covariance():
     np.testing.assert_allclose(cov.vols, [2.0, 1.0])
 
 
+def test_covariance_input_rejects_an_empty_matrix():
+    for call in (CovarianceInput, optimize_variety):
+        with pytest.raises(ParameterError, match="empty"):
+            call(np.zeros((0, 0)))
+    # one asset holds everything
+    result = optimize_variety(np.array([[4.0]]))
+    np.testing.assert_array_equal(result.weights.weights, [1.0])
+    assert result.variety_ratio == 1.0
+
+
 def test_covariance_input_rejects_asymmetry():
     with pytest.raises(ParameterError):
         CovarianceInput(np.array([[1.0, 0.5], [0.2, 1.0]]))

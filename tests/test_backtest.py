@@ -120,6 +120,16 @@ def test_load_prices_missing_file():
 # ---------------------------------------------------------------- returns
 
 
+def test_price_panel_rejects_a_repeated_label():
+    # a benchmark named by a repeated label would drop every column it
+    # names from the assets and track only the first
+    prices = 100.0 + np.arange(12.0).reshape(3, 4)
+    dates = [datetime.date(2024, 1, d) for d in range(2, 6)]
+    with pytest.raises(ParameterError) as caught:
+        PricePanel(dates, prices, ["A", "B", "A"])
+    assert str(caught.value) == "label 'A' names price rows 0 and 2"
+
+
 def test_to_returns_fixture():
     panel = PricePanel(dates=[datetime.date(2024, 1, 2),
                               datetime.date(2024, 1, 3),

@@ -24,6 +24,11 @@ def _run(*argv):
     return main(list(argv))
 
 
+def _csv_rows(path):
+    with open(path) as fh:
+        return list(csv.reader(fh))
+
+
 def _write_price_csv(path, m=3, t=61, seed=50):
     rng = np.random.default_rng(seed)
     steps = 0.0004 + 0.012 * rng.standard_normal((m, t - 1))
@@ -287,13 +292,13 @@ def test_clean_full_pipeline_outputs(tmp_path, capsys):
     # the CSV artifacts read back bit for bit
     expected = clean_covariance(load_returns_csv(returns).values,
                                 CleanConfig(demean=False))
-    rows = list(csv.reader(open(out / "denoised.csv")))
+    rows = _csv_rows(out / "denoised.csv")
     assert rows[0] == ["30", "covariance_scale"]
     np.testing.assert_array_equal(np.array(rows[1:], dtype=float),
                                   expected.denoised)
     counts, edges = np.histogram(np.log(expected.spectrum.eigenvalues),
                                  bins=60)
-    rows = list(csv.reader(open(out / "spectrum_histogram.csv")))
+    rows = _csv_rows(out / "spectrum_histogram.csv")
     assert rows[0] == ["bin_center", "count"]
     np.testing.assert_array_equal([float(row[0]) for row in rows[1:]],
                                   0.5 * (edges[:-1] + edges[1:]))
@@ -373,7 +378,7 @@ def test_allocate_scm_weights_sum_to_one(tmp_path, capsys):
     code = _run("allocate", "--input", str(returns), "--estimator", "scm",
                 "--out", str(out))
     assert code == 0
-    rows = list(csv.reader(open(out / "weights.csv")))
+    rows = _csv_rows(out / "weights.csv")
     assert rows[0] == ["asset", "weight"]
     weights = [float(row[1]) for row in rows[1:]]
     assert len(weights) == 5
@@ -402,7 +407,7 @@ def test_allocate_robust_estimator_reports_k_hat(tmp_path):
 @pytest.mark.parametrize("cell", ["nan", "inf"])
 def test_allocate_non_finite_cell_is_data_error(tmp_path, capsys, cell):
     returns = _synth_returns(tmp_path, m=4, N=30, seed=14)
-    rows = list(csv.reader(open(returns)))
+    rows = _csv_rows(returns)
     rows[3][2] = cell
     with open(returns, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
@@ -469,16 +474,16 @@ def test_backtest_compare_writes_aligned_outputs(tmp_path, capsys):
     assert "optimizer_seed" not in result["config"]
     assert result["fill_counts"] == {label: 0 for label in labels}
 
-    wealth_rows = list(csv.reader(open(out / "wealth.csv")))
+    wealth_rows = _csv_rows(out / "wealth.csv")
     assert wealth_rows[0] == ["Date", "scm", "rmt_tyler_whitened"]
     assert len(wealth_rows) > 2
-    turnover_rows = list(csv.reader(open(out / "turnover.csv")))
+    turnover_rows = _csv_rows(out / "turnover.csv")
     assert turnover_rows[0] == ["Date", "scm", "rmt_tyler_whitened"]
     for row in turnover_rows[1:]:
         for cell in row[1:]:
             assert 0.0 <= float(cell) <= 2.0
 
-    weights_rows = list(csv.reader(open(out / "weights_scm.csv")))
+    weights_rows = _csv_rows(out / "weights_scm.csv")
     assert weights_rows[0] == ["Date"] + labels
     assert (out / "weights_rmt_tyler_whitened.csv").exists()
 
@@ -502,7 +507,7 @@ def test_backtest_csvs_read_back_as_run_backtest_arrays(tmp_path):
         for name in ESTIMATORS}
 
     def table(name):
-        rows = list(csv.reader(open(out / name)))
+        rows = _csv_rows(out / name)
         return (rows[0], [row[0] for row in rows[1:]],
                 np.array([row[1:] for row in rows[1:]], dtype=float))
 
@@ -544,10 +549,10 @@ def test_backtest_benchmark_column(tmp_path, capsys):
                 "--window-days", "30", "--rebalance-days", "5",
                 "--benchmark", labels[-1], "--out", str(out))
     assert code == 0
-    wealth_rows = list(csv.reader(open(out / "wealth.csv")))
+    wealth_rows = _csv_rows(out / "wealth.csv")
     assert wealth_rows[0] == ["Date", "scm", labels[-1]]
     assert float(wealth_rows[1][2]) == 100.0
-    weights_rows = list(csv.reader(open(out / "weights.csv")))
+    weights_rows = _csv_rows(out / "weights.csv")
     assert weights_rows[0] == ["Date"] + labels[:-1]
     result = json.loads((out / "result.json").read_text())
     assert result["results"]["scm"]["benchmark"]["label"] == labels[-1]
@@ -564,7 +569,7 @@ def test_backtest_missing_price_file(tmp_path, capsys):
 def test_backtest_non_finite_price_is_data_error(tmp_path, capsys):
     prices = tmp_path / "prices.csv"
     labels = _write_price_csv(prices, m=3, t=61)
-    rows = list(csv.reader(open(prices)))
+    rows = _csv_rows(prices)
     rows[5][2] = "nan"
     with open(prices, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
@@ -604,7 +609,7 @@ def test_backtest_deterministic_bytes(tmp_path):
 
 
 def _order_table(out):
-    rows = list(csv.reader(open(out / "order_frequencies.csv")))
+    rows = _csv_rows(out / "order_frequencies.csv")
     assert rows[0] == ["k_hat", "scm", "tyler_raw", "tyler_whitened"]
     return np.array([[int(v) for v in row] for row in rows[1:]])
 

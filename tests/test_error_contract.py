@@ -1,20 +1,24 @@
 """No generated input escapes as anything but a MaxVarietyError.
 
-CSV texts go to both loaders and finite panels to the estimators and the
-optimizer; each call may return or raise ``MaxVarietyError``, and any other
-exception fails the property.
+CSV texts go to both loaders, finite panels to the estimators and the
+optimizer, covariances from 0 x 0 up to the optimizer and the ratio, and
+price panels built in code to the backtest; each call may return or raise
+``MaxVarietyError``, and any other exception fails the property.
 """
 
 from __future__ import annotations
+
+import datetime
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from maxvariety import (CleanConfig, MaxVarietyError, clean_covariance,
-                        load_prices, load_returns_csv, optimize_variety, scm,
-                        tyler)
+from maxvariety import (BacktestConfig, CleanConfig, MaxVarietyError,
+                        PricePanel, clean_covariance, load_prices,
+                        load_returns_csv, optimize_variety, run_backtest, scm,
+                        to_returns, tyler, variety_ratio)
 
 # cells that break a table: non-numbers, non-finite or out-of-range
 # numbers, quotes, NUL, BOM, CR, bad dates and arbitrary short text
@@ -94,6 +98,89 @@ def test_estimators_and_optimizer_return_or_raise_maxvariety_errors(panel):
              lambda: tyler(panel),
              lambda: optimize_variety(scm(panel).values)]
     for call in calls:
+        try:
+            call()
+        except MaxVarietyError:
+            pass
+
+
+# entries that over- or underflow a product, or are not finite
+_ODD_ENTRIES = st.sampled_from([0.0, -1.0, 1e-300, 1e-160, 1e160, 1e300,
+                                -1e300, np.inf, np.nan])
+
+
+@st.composite
+def _covariances(draw):
+    """m x m matrices, m 0-3: a Gram matrix, scaled, with up to two
+    entries (and their mirrors, unless the draw leaves it asymmetric)
+    set to an odd value."""
+    m = draw(st.sampled_from([0, 0, 1, 1, 1, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    root = rng.standard_normal((m, m + 1))
+    cov = root @ root.T
+    cov *= draw(st.sampled_from([1.0, 1.0, 1e-300, 1e300]))
+    mirror = draw(st.booleans())
+    for _ in range(draw(st.integers(0, 2)) if m else 0):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        cov[i, j] = draw(_ODD_ENTRIES)
+        if mirror:
+            cov[j, i] = cov[i, j]
+    return cov
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=100)
+@given(cov=_covariances())
+def test_optimizer_on_small_covariances_raises_maxvariety_errors(cov):
+    m = cov.shape[0]
+    calls = [lambda: optimize_variety(cov),
+             lambda: variety_ratio(np.full(m, 1.0 / max(m, 1)), cov)]
+    for call in calls:
+        try:
+            call()
+        except MaxVarietyError:
+            pass
+
+
+@st.composite
+def _price_panels(draw):
+    """Price panels built in code: m 0-4 rows of positive prices over 0-14
+    dates, labels from a small pool that may repeat, dates that may repeat
+    or go back, and up to two prices set to an odd value."""
+    m = draw(st.integers(0, 4))
+    t = draw(st.integers(0, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    prices = 100.0 * np.exp(np.cumsum(
+        0.05 * rng.standard_normal((m, t)), axis=1))
+    for _ in range(draw(st.integers(0, 2)) if m and t else 0):
+        prices[draw(st.integers(0, m - 1)), draw(st.integers(0, t - 1))] = (
+            draw(_ODD_ENTRIES))
+    labels = [draw(st.sampled_from(["A", "B", "C", "D", "E"]))
+              for _ in range(m)]
+    day = datetime.date(2024, 1, 2)
+    dates = []
+    for _ in range(t):
+        dates.append(day)
+        day += datetime.timedelta(days=draw(st.sampled_from([1, 1, 0, -1])))
+    return dates, prices, labels
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=100)
+@given(parts=_price_panels(), window=st.integers(2, 6),
+       hold=st.integers(1, 4), estimator=st.sampled_from(
+           ["scm", "rmt_tyler_whitened"]),
+       benchmark=st.sampled_from([None, "A", "B"]))
+def test_backtest_on_built_price_panels_raises_maxvariety_errors(
+        parts, window, hold, estimator, benchmark):
+    config = BacktestConfig(window_days=window, rebalance_days=hold,
+                            estimator=estimator, benchmark=benchmark)
+    try:
+        panel = PricePanel(*parts)
+    except MaxVarietyError:
+        return
+    for call in (lambda: to_returns(panel),
+                 lambda: run_backtest(panel, config)):
         try:
             call()
         except MaxVarietyError:

@@ -148,6 +148,7 @@ def _assert_loaders_agree(path):
     if isinstance(want, tuple):
         assert got == want
     else:
+        assert got.values.flags.c_contiguous
         assert _same_array(got.values, want.values)
         assert got.labels == want.labels
         assert got.timestamps == want.timestamps
@@ -175,6 +176,7 @@ EXAMPLES = {
     "blank_line_inside": "Date,AAA\n2024-01-02,1.0\n\n2024-01-03,2.0\n",
     "blank_lines_at_end": "Date,AAA\n2024-01-02,1.0\n2024-01-03,2.0\n\n\n",
     "only_blank_body": "Date,AAA\n\n",
+    "only_blank_body_crlf": "Date,AAA\r\n\r\n\r\n",
     "header_only": "Date,AAA\n",
     "one_field_header": "Date\n2024-01-02\n",
     "quoted_key": 'Date,AAA\n"2024-01-02",1.0\n',
@@ -196,6 +198,10 @@ EXAMPLES = {
     "leading_empty_cell": "Date,AAA\n2024-01-02,\n2024-01-03,1.0\n",
     "extra_field": "Date,AAA\n2024-01-02,1.0,2.0\n",
     "missing_field": "Date,AAA,BBB\n2024-01-02,1.0\n",
+    "extra_field_later": "Date,AAA\n2024-01-02,1.0\n2024-01-03,1.0,2.0\n"
+                         "2024-01-04,1.0\n",
+    "missing_field_later": "Date,AAA,BBB\n2024-01-02,1.0,2.0\n"
+                           "2024-01-03,1.0\n2024-01-04,1.0,2.0\n",
     "extra_field_and_blank_line": "Date,AAA\n2024-01-02,1.0,2.0\n\n",
     "zero_price": "Date,AAA\n2024-01-02,0\n",
     "negative_price": "Date,AAA\n2024-01-02,1.0\n2024-01-03,-2.5\n",
@@ -208,6 +214,8 @@ EXAMPLES = {
 }
 
 
+# a loader warns on none of them (loadtxt does on a body of blank lines)
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text", EXAMPLES.values(), ids=EXAMPLES.keys())
 def test_loaders_match_reference(tmp_path, text):
     path = tmp_path / "input.csv"
@@ -261,8 +269,9 @@ def test_loaders_match_reference_on_generated_text(tmp_path_factory, text):
     _assert_loaders_agree(path)
 
 
-# the reference loaders above accept a repeated label, so these files are
-# checked here and not in EXAMPLES; a quoted cell sends a file to the walk
+# the reference loaders above do not check labels (the price one fails
+# only in PricePanel, with a ParameterError), so these files are checked
+# here and not in EXAMPLES; a quoted cell sends a file to the walk
 REPEATED_LABELS = {
     "returns_one_pass": ("t,A,B,A\n0,1.0,2.0,3.0\n1,0.5,0.1,0.2\n", True),
     "returns_cell_walk": ('t,A,B,A\n0,"1.0",2.0,3.0\n1,0.5,0.1,0.2\n', False),

@@ -152,6 +152,34 @@ def test_tyler_step_buffers_change_no_bit():
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("k", [0, 3])
+def test_tyler_step_from_sums_of_squares_is_bit_identical(k):
+    # a first sweep from the identity skips cholesky(I), inv(I) and I @ x,
+    # on a row-major panel and on a window view of one
+    returns = gen_panel(FactorModelSpec(m=20, N=250, K=k, rho=0.8, nu=0.5,
+                                        factor_snr=8.0, seed=k)).returns
+    for panel in (returns[:, :200].copy(), returns[:, 30:230]):
+        squares = np.einsum("ij,ij->j", panel, panel)
+        want = _tyler_step(panel, np.eye(20))
+        np.testing.assert_array_equal(
+            _tyler_step(panel, np.eye(20), quad=squares), want)
+        white, scaled = np.empty((20, 200)), np.empty((20, 200))
+        np.testing.assert_array_equal(
+            _tyler_step(panel, np.eye(20), white, scaled, squares), want)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_tyler_ignores_the_panel_layout(k):
+    # a column-major panel changes only the rounding inside BLAS; on
+    # three-factor m=100 panels that rounding reaches ~2e-12 relative,
+    # so the check runs at m=20
+    returns = gen_panel(FactorModelSpec(m=20, N=200, K=k, rho=0.8, nu=0.5,
+                                        factor_snr=8.0, seed=k)).returns
+    want = tyler(returns).values
+    got = tyler(np.asfortranarray(returns)).values
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def _plain_tyler(panel, cfg=TylerConfig()):
     # reference loop: plain fixed-point sweeps from the identity, no mixing
     m = panel.shape[0]
