@@ -264,7 +264,8 @@ def _write_backtest_csvs(out: Path, results: dict[str, BacktestResult]) -> None:
 
     def write_aligned(path, dates, columns):
         _atomic_csv(path, ["Date", *(name for name, _ in columns)],
-                    ([date, *_float_cells(column[i] for _, column in columns)]
+                    ([date,
+                      *_float_cells([column[i] for _, column in columns])]
                      for i, date in enumerate(dates)))
 
     first = next(iter(results.values()))

@@ -4,7 +4,8 @@ A panel is an m x N matrix with one row per asset and one column per
 observation, plus asset labels and per-observation timestamps.  The CSV
 layout has observations as rows (header ``t,<label>,<label>,...`` for
 returns, ``Date,<label>,...`` for prices).  The other modules write their
-CSV artifacts through ``_write_csv``.
+CSV artifacts through ``_write_csv``, which writes each row as its fields
+joined by commas and hands ``csv.writer`` only a row it would quote.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import datetime
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +24,11 @@ from .errors import IngestionError, ParameterError
 
 @dataclass
 class ReturnsPanel:
-    """Asset returns, one row per asset and one column per observation."""
+    """Asset returns, one row per asset and one column per observation.
+
+    Labels must be distinct: a repeated one raises ParameterError naming
+    both rows.
+    """
 
     values: np.ndarray
     labels: list[str] = field(default_factory=list)
@@ -46,19 +52,40 @@ class ReturnsPanel:
         if len(self.timestamps) != n:
             raise ParameterError(
                 f"{len(self.timestamps)} timestamps for {n} observations")
+        repeat = _repeat(self.labels)
+        if repeat:
+            label, a, b = repeat
+            raise ParameterError(
+                f"label {label!r} names return rows {a} and {b}")
 
 
 def _float_cells(values) -> list[str]:
     """Each value as the shortest text that reads back to the same float."""
-    return [repr(float(v)) for v in values]
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
 def _write_csv(path, header, rows) -> None:
-    """Write ``header`` and then each of ``rows`` to a UTF-8 CSV file."""
+    """Write ``header`` and then each of ``rows``, sequences of str and int
+    fields, to a UTF-8 CSV file.
+
+    The bytes are those of ``csv.writer``'s default dialect.  A row is
+    written as its fields joined by commas unless csv would quote one: a
+    field holding a comma (more commas than separators), a quote, CR or LF,
+    or a row of one empty field, which csv writes as ``""``.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        for row in itertools.chain([header], rows):
+            try:
+                line = ",".join(row)
+            except TypeError:  # an int field, written as str(int) like csv
+                row = list(map(str, row))
+                line = ",".join(row)
+            if (not line or line.count(",") >= len(row) or '"' in line
+                    or "\r" in line or "\n" in line):
+                writer.writerow(row)
+            else:
+                fh.write(line + "\r\n")
 
 
 def save_returns_csv(panel: ReturnsPanel, path) -> None:
