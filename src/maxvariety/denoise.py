@@ -1,9 +1,11 @@
 """Model-order selection and spectrum cleaning for covariance estimates.
 
 The pipeline: estimate a robust scatter, rectify it toward the Toeplitz
-structure of the noise, whiten the panel with the rectified estimate, and
-re-estimate.  The estimator is affine equivariant, so the re-estimate starts
-at the whitened first estimate, its fixed point, and one sweep certifies it.
+structure of the noise, whiten the panel with the inverse Cholesky factor of
+the rectified estimate (its inverse square root when an eigenvalue must be
+floored), and re-estimate.  The estimator is affine equivariant, so the
+re-estimate starts at the whitened first estimate, its fixed point, and one
+sweep certifies it.
 The whitened noise spectrum then follows the classic
 random-matrix bulk law with upper edge ``(1 + sqrt(m/N))**2``.  That edge is
 only the centre of the Tracy-Widom law of the largest noise eigenvalue, so
@@ -26,7 +28,8 @@ from .errors import (DegenerateDataError, DegenerateSpectrumError,
                      InsufficientSamplesError, ParameterError)
 from .panels import _float_cells, _write_csv
 from .robust import (ScatterMatrix, TylerConfig, demean_rows, inv_sqrt,
-                     toeplitzify, tyler, _as_matrix, _check_panel)
+                     toeplitzify, tyler, _as_matrix, _check_panel,
+                     _check_squares, _tri_inv)
 
 # False-alarm level of the order test and the matching upper quantile of
 # the Tracy-Widom law TW1, i.e. P(TW1 > TW1_QUANTILE) = ORDER_ALPHA.
@@ -170,6 +173,21 @@ class CleaningReport:
         }
 
 
+def _noise_factor(noise: np.ndarray, eigen_floor: float) -> np.ndarray | None:
+    """Cholesky factor ``L`` of the trace-m noise scatter ``S = L L'``, or
+    None when ``inv_sqrt`` might floor one of its eigenvalues.
+
+    A Cholesky factor of ``S - eigen_floor * I`` certifies that every
+    eigenvalue of ``S`` lies above the floor, ``eigen_floor`` times their
+    mean of 1.
+    """
+    try:
+        np.linalg.cholesky(noise - eigen_floor * np.eye(noise.shape[0]))
+        return np.linalg.cholesky(noise)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport:
     """Run the full rectify-whiten-clip pipeline on a return panel.
 
@@ -178,18 +196,26 @@ def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport
     Tracy-Widom ``threshold`` the order was selected at (alpha = 0.01,
     Johnstone 2001), and both the raw and clipped whitened spectra.  The
     paper-literal order at the bulk edge is
-    ``select_order(report.spectrum, report.lambda_bar)``.  The second Tyler
-    pass starts at ``W C1 W`` (``W`` the whitener, ``C1`` the first pass),
+    ``select_order(report.spectrum, report.lambda_bar)``.
+
+    ``S``, the rectified noise scatter on trace m, whitens through its
+    Cholesky factor ``S = L L'`` whenever ``S - eigen_floor * I`` has one
+    too, which certifies that no eigenvalue would be floored: ``W`` is
+    ``L^{-1}`` and the cleaned whitened scatter is coloured back by ``L``.
+    ``L^{-1}`` is ``S^{-1/2}`` up to a rotation, which the affine-equivariant
+    second pass carries through and the colour undoes, so ``S`` is never
+    eigendecomposed.  Otherwise ``W = inv_sqrt(S)``, with its floor and
+    warning, and the colour is ``S W``, ``S^{1/2}`` to rounding; where
+    ``inv_sqrt`` floors an eigenvalue ``lambda`` of ``S`` to ``f``, the
+    colour takes ``lambda / sqrt(f)`` along its eigenvector instead of
+    ``sqrt(lambda)``, and the result is still a congruence of a PSD matrix.
+    The second Tyler pass starts at ``W C1 W'`` (``C1`` the first pass),
     where affine equivariance puts its fixed point; its one sweep and its
-    tolerance test certify that start on the whitened data.  The cleaned
-    whitened scatter is coloured back by ``S W`` (``S`` the rectified noise
-    scatter), which equals ``S^{1/2}`` to rounding, so ``S`` is decomposed
-    once, inside ``inv_sqrt``.  Where ``inv_sqrt`` floors an eigenvalue
-    ``lambda`` of ``S`` to ``f``, the colour takes ``lambda / sqrt(f)``
-    along that eigenvector instead of ``sqrt(lambda)``; the result is still
-    a congruence of a PSD matrix, rescaled to the sample variances.
-    Estimation errors propagate; eigenvalue flooring is collected into the
-    report's warnings.
+    tolerance test certify that start on the whitened data.
+
+    An asset whose sum of squared deviations overflows raises
+    DegenerateDataError naming it.  Estimation errors propagate;
+    eigenvalue flooring is collected into the report's warnings.
     """
     cfg = config or CleanConfig()
     panel = _check_panel(panel)
@@ -199,7 +225,9 @@ def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport
             f"need more observations than assets, got m={m}, N={n}")
     work = demean_rows(panel) if cfg.demean else panel
 
-    sample_var = np.var(panel, axis=1, ddof=1)
+    with np.errstate(over="ignore"):
+        sample_var = np.var(panel, axis=1, ddof=1)
+    _check_squares(sample_var, "asset")
     flat = np.flatnonzero(sample_var == 0.0)
     if flat.size:
         raise DegenerateDataError(
@@ -211,11 +239,18 @@ def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport
         robust_scatter = tyler(work, cfg.tyler)
         noise_scatter = toeplitzify(robust_scatter.values)
         noise_scatter *= m / np.trace(noise_scatter)
-        whitener = inv_sqrt(noise_scatter, cfg.eigen_floor)
+        factor = _noise_factor(noise_scatter, cfg.eigen_floor)
+        if factor is None:
+            whitener = inv_sqrt(noise_scatter, cfg.eigen_floor)
+            # S W is S^{1/2} to rounding, so S is decomposed once
+            whitener_t, color = whitener, noise_scatter @ whitener
+        else:
+            whitener = _tri_inv(factor)
+            whitener_t, color = whitener.T, factor
         whitened = whitener @ work
         # Affine equivariance puts pass 2's fixed point at the whitened pass
         # 1 estimate; one sweep from there certifies it.
-        start = whitener @ robust_scatter.values @ whitener
+        start = whitener @ robust_scatter.values @ whitener_t
         whitened_scatter = tyler(whitened, cfg.tyler,
                                  start=0.5 * (start + start.T))
     notes.extend(str(w.message) for w in caught)
@@ -228,8 +263,6 @@ def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport
     clipped = clip_spectrum(spectrum.eigenvalues, k_hat)
 
     cleaned_white = (spectrum.eigenvectors * clipped) @ spectrum.eigenvectors.T
-    # S W is S^{1/2} to rounding, so S is decomposed once, in inv_sqrt
-    color = noise_scatter @ whitener
     scatter_shape = color @ cleaned_white @ color.T
     scale = np.sqrt(sample_var / np.diag(scatter_shape))
     denoised = scatter_shape * np.outer(scale, scale)

@@ -2,7 +2,9 @@
 
 Provides the sample covariance, a distribution-free fixed-point M-estimator
 of scatter, rectification of an estimate toward Toeplitz structure, and the
-inverse square root that whitens a panel with one of them.
+inverse square root that whitens a panel with one of them.  The fixed point
+and the cleaning pipeline's whitener invert Cholesky factors with a private
+blocked triangular inverse.
 """
 
 from __future__ import annotations
@@ -59,6 +61,15 @@ def _check_panel(panel) -> np.ndarray:
     return panel
 
 
+def _check_squares(squares: np.ndarray, what: str) -> None:
+    """Raise DegenerateDataError naming the first ``what`` (asset or
+    observation) whose sum of squares overflowed to infinity."""
+    over = np.flatnonzero(squares == np.inf)
+    if over.size:
+        raise DegenerateDataError(
+            f"the sum of squares of {what} {over[0]} overflows")
+
+
 def demean_rows(panel: np.ndarray) -> np.ndarray:
     """Subtract each asset's sample mean across observations."""
     panel = _check_panel(panel)
@@ -69,12 +80,17 @@ def scm(panel, demean: bool = False) -> ScatterMatrix:
     """Sample covariance matrix (raw second moment by default).
 
     Pass ``demean=True`` to center each asset on its window mean first.
+    An asset whose sum of squares overflows raises DegenerateDataError
+    naming it.
     """
     panel = _check_panel(panel)
     if demean:
         panel = demean_rows(panel)
     n = panel.shape[1]
-    cov = (panel @ panel.T) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = panel @ panel.T
+    _check_squares(np.diagonal(cov), "asset")
+    cov /= n
     cov = 0.5 * (cov + cov.T)
     if not np.any(cov):
         raise SingularMatrixError("sample covariance is identically zero")
@@ -96,18 +112,52 @@ class TylerConfig:
                 f"tol must be positive and finite, got {self.tol}")
 
 
+# Up to this order _tri_inv hands a block to LAPACK's inverse whole.  On a
+# 2-core host (numpy 2.4.6, OpenBLAS), inverting the Cholesky factor of a
+# Tyler estimate took 0.15 ms at m=100 with leaves of 32 (halves of 50,
+# leaves of 25) against 0.25 ms for np.linalg.inv of the whole factor,
+# 0.18 ms with leaves of 50 and 0.23 ms with leaves of 16 to 24; at m=40
+# (leaves of 20) 37 us against 40 us.
+_TRI_LEAF = 32
+
+
+def _tri_inv(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix, lower-triangular
+    with an exactly zero strict upper triangle.
+
+    Splits ``[[A, 0], [B, D]]`` at the middle, inverts ``A`` and ``D`` by
+    recursion and fills the lower-left block with ``-D^{-1} (B A^{-1})``:
+    two matrix products in place of the m right-hand sides of an LU solve.
+    """
+    m = lower.shape[0]
+    if m <= _TRI_LEAF:
+        # LU of the upper-triangular transpose exchanges no rows, and its
+        # back substitution leaves exact zeros below the diagonal; LU of
+        # ``lower`` itself may pivot and leave rounding above it
+        return np.linalg.inv(lower.T).T
+    h = m // 2
+    head, tail = _tri_inv(lower[:h, :h]), _tri_inv(lower[h:, h:])
+    inverse = np.zeros((m, m))
+    inverse[:h, :h] = head
+    inverse[h:, h:] = tail
+    inverse[h:, :h] = tail @ -(lower[h:, :h] @ head)
+    return inverse
+
+
 def _tyler_step(panel: np.ndarray, current: np.ndarray, white=None,
                 scaled=None, quad=None) -> np.ndarray:
     """One fixed-point sweep: reweight samples by their Mahalanobis norm.
 
     With the Cholesky factor ``current = L L'``, the norm ``r' C^{-1} r`` of
-    a sample is the squared length of ``L^{-1} r``, so one m x m factor and
-    one matrix product give all N of them.  ``white`` and ``scaled`` are
-    optional m x N float buffers for the two panel-sized intermediates; a
-    caller that sweeps many times passes the same pair to every sweep.
-    ``quad``, when given, holds those N norms already and the sweep skips
-    the factor and the product: at ``current = I`` they are the samples'
-    sums of squares, and the sweep is bit-identical to the factored one.
+    a sample is the squared length of ``L^{-1} r``, so one m x m factor, its
+    triangular inverse (``_tri_inv``) and one matrix product give all N of
+    them; the factor is also the sweep's test that ``current`` is positive
+    definite.  ``white`` and ``scaled`` are optional m x N float buffers
+    for the two panel-sized intermediates; a caller that sweeps many times
+    passes the same pair to every sweep.  ``quad``, when given, holds those
+    N norms already and the sweep skips the factor and the product: at
+    ``current = I`` they are the samples' sums of squares, and the sweep is
+    bit-identical to the factored one.
     """
     m, n = panel.shape
     if quad is None:
@@ -116,7 +166,7 @@ def _tyler_step(panel: np.ndarray, current: np.ndarray, white=None,
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(
                 "scatter iterate lost positive definiteness") from exc
-        white = np.matmul(np.linalg.inv(factor), panel, out=white)
+        white = np.matmul(_tri_inv(factor), panel, out=white)
         quad = np.einsum("ij,ij->j", white, white)
     if not np.all(quad > 0.0):
         raise SingularMatrixError(
@@ -221,10 +271,11 @@ def tyler(panel, config: TylerConfig | None = None, *,
     positive definite raises SingularMatrixError.  Per-sample scale factors
     cancel inside the quadratic form, so the estimate ignores any
     heavy-tailed radial component of the data.  Each sweep takes the
-    quadratic forms from a Cholesky factor of the current iterate, except a
-    first sweep from the identity, which reads them off the observations'
-    sums of squares (computed once, also to find an all-zero observation);
-    all sweeps of one call share one workspace for the m x N intermediates.
+    quadratic forms from the blocked triangular inverse of a Cholesky
+    factor of the current iterate, except a first sweep from the identity,
+    which reads them off the observations' sums of squares (computed once,
+    also to find an all-zero or overflowing observation); all sweeps of one
+    call share one workspace for the m x N intermediates.
 
     The iteration takes plain sweeps ``C <- G(C)`` until the first sweep
     whose relative residual ``|G(C) - C| / |C|`` (Frobenius) is below
@@ -253,10 +304,12 @@ def tyler(panel, config: TylerConfig | None = None, *,
     well away from zero.
 
     Requires strictly more observations than assets, finite entries (a
-    non-finite one raises DegenerateDataError naming it) and no all-zero
-    observation.  Raises ConvergenceError, carrying the last plain sweep and
-    its residual, if no sweep met ``config.tol`` within ``config.max_iter``
-    sweeps (a rejected mixed iterate counts as one).
+    non-finite one raises DegenerateDataError naming it), no all-zero
+    observation and none whose sum of squares overflows (both raise
+    DegenerateDataError naming the first).  Raises ConvergenceError,
+    carrying the last plain sweep and its residual, if no sweep met
+    ``config.tol`` within ``config.max_iter`` sweeps (a rejected mixed
+    iterate counts as one).
     """
     cfg = config or TylerConfig()
     panel = _check_panel(panel)
@@ -269,6 +322,7 @@ def tyler(panel, config: TylerConfig | None = None, *,
     if dead.size:
         raise DegenerateDataError(
             f"observation {dead[0]} is identically zero")
+    _check_squares(squares, "observation")
 
     # a sweep from the identity takes its quadratic forms from ``squares``
     current, first = ((np.eye(m), squares) if start is None
@@ -311,8 +365,13 @@ def tyler(panel, config: TylerConfig | None = None, *,
 
 
 def fixed_point_residual(panel, scatter) -> float:
-    """Relative Frobenius defect of the scatter fixed-point equation."""
+    """Relative Frobenius defect of the scatter fixed-point equation.
+
+    An observation whose sum of squares overflows raises
+    DegenerateDataError naming it, as in ``tyler``.
+    """
     panel = _check_panel(panel)
+    _check_squares(np.einsum("ij,ij->j", panel, panel), "observation")
     values = _as_matrix(scatter)
     step = _tyler_step(panel, values)
     return np.linalg.norm(step - values) / np.linalg.norm(values)
@@ -333,17 +392,18 @@ def toeplitzify(matrix, *, biased: bool = True) -> np.ndarray:
         raise ParameterError("toeplitzify needs a square matrix")
     sym = 0.5 * (matrix + matrix.T)
     m = sym.shape[0]
-    lag_means = np.empty(m)
-    for lag in range(m):
-        diag = np.diagonal(sym, offset=lag)
-        if not biased and np.ptp(diag) == 0.0:
-            # summing k copies of a float and dividing by k can round, which
-            # would break the projection's exact idempotence
-            lag_means[lag] = diag[0]
-        else:
-            lag_means[lag] = diag.sum() / (m if biased else (m - lag))
-    idx = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
-    return lag_means[idx]
+    lags = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    # each lag's mean is its first entry plus the mean deviation from it,
+    # so a constant diagonal comes back exactly, as a projection must
+    first = sym[:1].ravel()  # row 0, empty when m = 0
+    deviations = np.bincount(lags.ravel(), (sym - first[lags]).ravel(),
+                             minlength=m)
+    lengths = np.arange(m, 0, -1)
+    # the full matrix holds every lag but the main diagonal twice
+    lag_means = first + deviations / np.where(lengths < m, 2 * lengths, m)
+    if biased:
+        lag_means *= lengths / m
+    return lag_means[lags]
 
 
 def _sym_sqrt(a: np.ndarray) -> np.ndarray:

@@ -419,6 +419,24 @@ def test_allocate_non_finite_cell_is_data_error(tmp_path, capsys, cell):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("estimator", ["scm", "rmt_tyler_whitened"])
+def test_allocate_overflowing_panel_exits_3(tmp_path, capsys, estimator):
+    # finite returns whose squares overflow a float
+    returns = _synth_returns(tmp_path, m=10, N=100, seed=17)
+    rows = _csv_rows(returns)
+    with open(returns, "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [rows[0], *([row[0], *(repr(float(v) * 1e155) for v in row[1:])]
+                        for row in rows[1:])])
+    code = _run("allocate", "--input", str(returns), "--estimator",
+                estimator, "--out", str(tmp_path / "alloc"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: the sum of squares of asset 0 "
+                          "overflows")
+    assert "Traceback" not in err and "Warning" not in err
+
+
 def test_allocate_least_squares_failure_exits_3(tmp_path, capsys,
                                                monkeypatch):
     # 12 assets over 8 days: the SCM is singular, so the walk solves its
@@ -671,6 +689,24 @@ def test_mc_order_table_bytes_are_unchanged(tmp_path, k, snr):
                 "--out", str(out)) == 0
     assert ((out / "order_frequencies.csv").read_bytes()
             == _RECORDED_ORDER_TABLES[k, snr].encode())
+
+
+# The benchmark's fixed block of order-null trials, written by the code
+# that inverted each sweep's Cholesky factor with one LU solve; at m=100
+# the sweeps and the whitener take the blocked triangular inverse.
+_RECORDED_M100_ORDER_TABLE = (
+    "k_hat,scm,tyler_raw,tyler_whitened\r\n0,0,0,40\r\n"
+    + "".join(f"{k},0,0,0\r\n" for k in range(1, 14))
+    + "14,11,3,0\r\n15,25,31,0\r\n16,4,6,0\r\n")
+
+
+def test_mc_order_table_bytes_at_m100_are_unchanged(tmp_path):
+    out = tmp_path / "mc"
+    assert _run("mc-order", "--m", "100", "--N", "1000", "--K", "0",
+                "--rho", "0.8", "--nu", "0.5", "--trials", "40",
+                "--seed", "10001", "--no-demean", "--out", str(out)) == 0
+    assert ((out / "order_frequencies.csv").read_bytes()
+            == _RECORDED_M100_ORDER_TABLE.encode())
 
 
 def test_mc_order_requires_trials(tmp_path, capsys):

@@ -202,9 +202,9 @@ def test_clean_covariance_beats_raw_counting():
     assert report.k_hat <= 1
 
 
-def test_clean_covariance_decomposes_two_matrices(monkeypatch):
-    # the noise scatter once, inside inv_sqrt (the colour reuses its
-    # whitener), and the whitened scatter once
+def _decompositions(monkeypatch, floor):
+    # the shapes of the matrices eigendecomposed by one clean, and where
+    # inv_sqrt was called
     panel = gen_panel(FactorModelSpec(m=30, N=300, K=2, rho=0.6, nu=0.5,
                                       factor_snr=8.0, seed=4)).returns
     calls = []
@@ -215,8 +215,42 @@ def test_clean_covariance_decomposes_two_matrices(monkeypatch):
     monkeypatch.setattr(denoise, "inv_sqrt",
                         lambda *args: calls.append("inv_sqrt")
                         or inv_sqrt(*args))
-    clean_covariance(panel, CleanConfig(demean=False))
-    assert calls == ["inv_sqrt", (30, 30), (30, 30)]
+    clean_covariance(panel, CleanConfig(demean=False, eigen_floor=floor))
+    return calls
+
+
+def test_clean_covariance_decomposes_two_matrices(monkeypatch):
+    # no floor bites: a Cholesky factor of the noise scatter whitens and
+    # colours, and only the whitened scatter is eigendecomposed
+    assert _decompositions(monkeypatch, 1e-10) == [(30, 30)]
+
+
+def test_clean_covariance_with_a_floor_decomposes_the_noise_scatter(
+        monkeypatch):
+    # the rho=0.6 noise scatter has eigenvalues below half their mean:
+    # inv_sqrt floors them, and the colour reuses its whitener
+    assert _decompositions(monkeypatch, 0.5) == ["inv_sqrt", (30, 30),
+                                                 (30, 30)]
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_cholesky_whitener_matches_the_symmetric_one(monkeypatch, k):
+    # L^{-1} is S^{-1/2} up to a rotation, which the second pass carries
+    # through and the colour L undoes; the reference run is made to take
+    # the eigendecomposition path
+    panel = gen_panel(_factor_spec(K=k, seed=10_001)).returns
+    cfg = CleanConfig(demean=False)
+    got = clean_covariance(panel, cfg)
+    monkeypatch.setattr(denoise, "_noise_factor", lambda *args: None)
+    want = clean_covariance(panel, cfg)
+    assert got.k_hat == want.k_hat == k
+    assert not got.warnings and not want.warnings
+    np.testing.assert_allclose(got.spectrum.eigenvalues,
+                               want.spectrum.eigenvalues, rtol=1e-9)
+    np.testing.assert_allclose(got.clipped_spectrum, want.clipped_spectrum,
+                               rtol=1e-9)
+    np.testing.assert_allclose(got.denoised, want.denoised, rtol=0.0,
+                               atol=1e-11 * np.abs(want.denoised).max())
 
 
 def test_clean_covariance_with_a_floored_noise_eigenvalue():

@@ -17,7 +17,7 @@ from maxvariety import (CleanConfig, ConvergenceError, DegenerateDataError,
                         TylerConfig, clean_covariance, fixed_point_residual,
                         gen_panel, gen_toeplitz_scatter, inv_sqrt,
                         mp_upper_bound, scm, toeplitzify, tyler)
-from maxvariety.robust import _tyler_step
+from maxvariety.robust import _tri_inv, _tyler_step
 
 
 def _noise_panel(m, n, rho, nu, seed):
@@ -138,6 +138,59 @@ def test_tyler_step_matches_lu_reference(k):
     fit = tyler(returns).values
     for current in (np.eye(20), fit):
         want = _lu_tyler_step(returns, current)
+        got = _tyler_step(returns, current)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _factor_panel(k, seed):
+    # the model of the allocate-spiked and order-null benchmark panels
+    return gen_panel(FactorModelSpec(m=100, N=1000, K=k, rho=0.8, nu=0.5,
+                                     factor_snr=10.0, seed=seed)).returns
+
+
+def _lower_factors():
+    # well-conditioned Cholesky factors on both sides of the blocked
+    # inverse's leaf size and splits, and the factor of a three-factor
+    # pass-1 estimate, whose bulk eigenvalues (~5e-6) sit seven orders
+    # below its spikes (~35)
+    rng = np.random.default_rng(17)
+    for m in (1, 2, 31, 32, 33, 65, 100, 257):
+        root = rng.standard_normal((m, 2 * m))
+        yield np.linalg.cholesky(root @ root.T / (2 * m) + np.eye(m))
+        yield np.linalg.cholesky(gen_toeplitz_scatter(m, 0.8))
+    yield np.linalg.cholesky(tyler(_factor_panel(3, 10_001)).values)
+
+
+@pytest.mark.parametrize("lower", list(_lower_factors()),
+                         ids=lambda lower: str(lower.shape[0]))
+def test_blocked_triangular_inverse_matches_lapack(lower):
+    m = lower.shape[0]
+    got, want = _tri_inv(lower), np.linalg.inv(lower)
+    assert not np.triu(got, 1).any()
+    eye = np.eye(m)
+    defect = np.abs(got @ lower - eye).max()
+    assert defect <= 2.0 * max(np.abs(want @ lower - eye).max(),
+                               np.finfo(float).eps)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def _inv_tyler_step(panel, current):
+    # reference sweep: the quadratic forms from LAPACK's inverse of the
+    # Cholesky factor
+    m, n = panel.shape
+    white = np.linalg.inv(np.linalg.cholesky(current)) @ panel
+    scaled = panel / np.sqrt(np.einsum("ij,ij->j", white, white))
+    update = (m / n) * (scaled @ scaled.T)
+    return 0.5 * (update + update.T)
+
+
+@pytest.mark.parametrize("m", [40, 100])
+@pytest.mark.parametrize("k", [0, 3])
+def test_tyler_step_matches_the_lapack_inverse_sweep(m, k):
+    returns = gen_panel(FactorModelSpec(m=m, N=10 * m, K=k, rho=0.8, nu=0.5,
+                                        factor_snr=10.0, seed=k)).returns
+    for current in (gen_toeplitz_scatter(m, 0.8), tyler(returns).values):
+        want = _inv_tyler_step(returns, current)
         got = _tyler_step(returns, current)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -328,12 +381,6 @@ def _sweep_trail(monkeypatch):
     return trail
 
 
-def _factor_panel(k, seed):
-    # the model of the allocate-spiked and order-null benchmark panels
-    return gen_panel(FactorModelSpec(m=100, N=1000, K=k, rho=0.8, nu=0.5,
-                                     factor_snr=10.0, seed=seed)).returns
-
-
 @pytest.mark.parametrize("k, allowed", [(3, range(1, 18)), (0, [8])])
 def test_clean_records_pass_one_sweeps(monkeypatch, k, allowed):
     for seed in range(10001, 10005):
@@ -436,6 +483,39 @@ def test_non_finite_panel_entry_rejected(estimate, value):
     with pytest.raises(DegenerateDataError,
                        match=r"\(asset 2, observation 17\) is not finite"):
         estimate(panel)
+
+
+def _overflowing(what, index):
+    # finite entries whose squares overflow: every entry of the panel, or
+    # those of one asset or one observation
+    panel = np.random.default_rng(14).standard_normal((10, 100))
+    if what == "asset":
+        panel[index] *= 1e160
+    elif what == "observation":
+        panel[:, index] *= 1e160
+    else:
+        panel *= 1e155
+    return panel
+
+
+@pytest.mark.parametrize("estimate, what, index, named", [
+    (scm, "asset", 4, "asset 4"),
+    (scm, "panel", None, "asset 0"),
+    (lambda x: scm(x, demean=True), "asset", 6, "asset 6"),
+    (clean_covariance, "asset", 4, "asset 4"),
+    (clean_covariance, "panel", None, "asset 0"),
+    (tyler, "observation", 37, "observation 37"),
+    (tyler, "panel", None, "observation 0"),
+    (lambda x: fixed_point_residual(x, np.eye(10)), "observation", 37,
+     "observation 37"),
+])
+def test_overflowing_sums_of_squares_are_named(estimate, what, index,
+                                                named):
+    # raised before numpy warns: the test configuration makes a warning
+    # an error
+    with pytest.raises(DegenerateDataError,
+                       match=f"sum of squares of {named} overflows"):
+        estimate(_overflowing(what, index))
 
 
 def test_tyler_start_validation():
@@ -568,6 +648,27 @@ def test_toeplitzify_flavors_differ_by_taper():
     for lag in range(m):
         assert biased[0, lag] == pytest.approx(
             unbiased[0, lag] * (m - lag) / m, abs=1e-15)
+
+
+def _loop_toeplitzify(matrix, biased):
+    # reference: one mean per lag, taken along its diagonal
+    sym = 0.5 * (matrix + matrix.T)
+    m = sym.shape[0]
+    lag_means = [np.diagonal(sym, lag).sum() / (m if biased else m - lag)
+                 for lag in range(m)]
+    return np.array([[lag_means[abs(i - j)] for j in range(m)]
+                     for i in range(m)])
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 100])
+@pytest.mark.parametrize("biased", [True, False])
+def test_toeplitzify_matches_the_diagonal_loop(m, biased):
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((m, m)) + 3.0 * np.eye(m)
+    got = toeplitzify(a, biased=biased)
+    want = _loop_toeplitzify(a, biased)
+    np.testing.assert_allclose(got, want, rtol=0.0,
+                               atol=1e-14 * np.abs(want).max())
 
 
 def test_toeplitzify_rejects_non_square():
