@@ -10,7 +10,7 @@ rebalance.  Wealth starts at 100 on the first rebalance date.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -70,14 +70,6 @@ class PerfStats:
     annualized_vol: float
     return_over_vol: float | None
     max_drawdown: float
-
-    def to_dict(self) -> dict:
-        return {
-            "annualized_return": self.annualized_return,
-            "annualized_vol": self.annualized_vol,
-            "return_over_vol": self.return_over_vol,
-            "max_drawdown": self.max_drawdown,
-        }
 
 
 def perf_stats(wealth, annualization_days: int = 252) -> PerfStats:
@@ -161,7 +153,7 @@ class BacktestResult:
 
     def to_dict(self) -> dict:
         payload = {
-            "summary": self.summary.to_dict(),
+            "summary": asdict(self.summary),
             "rebalances": [
                 {
                     "date": self.rebalance_dates[i],
@@ -175,7 +167,7 @@ class BacktestResult:
         if self.benchmark_label is not None:
             payload["benchmark"] = {
                 "label": self.benchmark_label,
-                "summary": self.benchmark_summary.to_dict(),
+                "summary": asdict(self.benchmark_summary),
             }
         return payload
 

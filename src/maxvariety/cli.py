@@ -36,7 +36,7 @@ import numpy as np
 from .allocation import OptimizerConfig, optimize_variety, variety_ratio
 from .backtest import ESTIMATORS, BacktestConfig, BacktestResult, run_backtest
 from .denoise import (CleanConfig, clean_covariance, mp_upper_bound,
-                      save_eigenvalue_histogram)
+                      save_eigenvalue_histogram, select_order)
 from .errors import (IngestionError, MaxVarietyError, NumericalError,
                      ParameterError, UsageError)
 from .market_model import FactorModelSpec, gen_panel
@@ -329,12 +329,12 @@ def _order_counts(spec: FactorModelSpec, clean_cfg: CleanConfig) -> tuple[int, i
 
     cov = scm(returns, demean=clean_cfg.demean).values
     cov_eigs = np.linalg.eigvalsh(cov)
-    scm_k = int(np.count_nonzero(cov_eigs / cov_eigs.mean() > lam))
+    scm_k = select_order(cov_eigs / cov_eigs.mean(), lam)
 
     # the pipeline's first pass is the raw Tyler estimate, so reuse it
     report = clean_covariance(returns, clean_cfg)
-    raw_eigs = np.linalg.eigvalsh(report.robust_scatter.values)
-    tyler_k = int(np.count_nonzero(raw_eigs > lam))
+    tyler_k = select_order(np.linalg.eigvalsh(report.robust_scatter.values),
+                           lam)
     return scm_k, tyler_k, report.k_hat
 
 

@@ -70,7 +70,6 @@ class SyntheticPanel:
     true_loadings: np.ndarray  # m x K
     textures: np.ndarray      # N texture draws tau_t
     factors: np.ndarray       # K x N factor scores f_t
-    spec: FactorModelSpec
 
     def to_returns_panel(self) -> ReturnsPanel:
         return ReturnsPanel(self.returns)
@@ -153,4 +152,4 @@ def gen_panel(spec: FactorModelSpec) -> SyntheticPanel:
     returns = loadings @ factors + noise
     return SyntheticPanel(returns=returns, true_scatter=scatter,
                           true_loadings=loadings, textures=textures,
-                          factors=factors, spec=spec)
+                          factors=factors)

@@ -132,7 +132,6 @@ def active_set_from_full_support(corr: np.ndarray) -> tuple[np.ndarray, int]:
     probe = np.sin(np.arange(1.0, m + 2.0))
     z = np.full(m, 1.0 / m)
     free = np.ones(m, dtype=bool)
-    nullity = 0
     cap = 8 * m + 16
     for step in range(1, cap + 1):
         idx = np.flatnonzero(free)
@@ -140,8 +139,7 @@ def active_set_from_full_support(corr: np.ndarray) -> tuple[np.ndarray, int]:
         kkt = np.ones((f + 1, f + 1))
         kkt[:f, :f] = corr[np.ix_(idx, idx)]
         kkt[f, f] = 0.0
-        target, nullity, _ = _face_minimizer(kkt, probe, try_lu=nullity < 2)
-        target = target[:f]
+        target = _face_minimizer(kkt, probe)[0][:f]
         blocked = np.flatnonzero(target < 0.0)
         if blocked.size:
             current = z[idx]
@@ -159,6 +157,5 @@ def active_set_from_full_support(corr: np.ndarray) -> tuple[np.ndarray, int]:
         if entering.size == 0:
             return z, step
         free[entering[0]] = True
-        nullity = 0
     raise ConvergenceError(
         f"active-set solve did not settle within {cap} steps", iterate=z)

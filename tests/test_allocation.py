@@ -386,30 +386,37 @@ def _count_calls(monkeypatch, solver):
     return calls
 
 
-# each singular input and the LU solves its walk tries: a drop from a face
-# that least squares found to have nullity >= 2 skips LU.  The m=40 N=20
-# walk meets nullities 19, 18, ..., 1 on its first 19 faces, so only the
-# first of them and the 19 faces after them try LU.
+def _short_scm(seed):
+    """An SCM of fewer observations than assets: m 8-40, N 2..m-1."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(8, 41))
+    return np.cov(rng.standard_normal((m, int(rng.integers(2, m)))))
+
+
+# singular inputs: duplicated assets, and SCMs of fewer observations than
+# assets ("zero-variance" where some long-only portfolio has zero variance).
+# Every face the walk solves tries LU once, and least squares where LU is
+# refused.
 _SINGULAR = {
-    "duplicate": (_duplicated_asset(1.0), 1),
-    "scaled-duplicate": (_duplicated_asset(3.0), 1),
-    "scm-m40-N20": (_scm_of(40, 20, 0), 20),
-    "zero-variance-m12-N4": (_scm_of(12, 4, 2), 1),
-    "zero-variance-m36-N12-seed0": (_scm_of(36, 12, 0), 1),
-    "zero-variance-m36-N12-seed2": (_scm_of(36, 12, 2), 1),
+    "duplicate": _duplicated_asset(1.0),
+    "scaled-duplicate": _duplicated_asset(3.0),
+    "scm-m40-N20": _scm_of(40, 20, 0),
+    "zero-variance-m12-N4": _scm_of(12, 4, 2),
+    "zero-variance-m36-N12-seed0": _scm_of(36, 12, 0),
+    "zero-variance-m36-N12-seed2": _scm_of(36, 12, 2),
+    **{f"short-scm-seed{seed}": _short_scm(seed) for seed in range(20)},
 }
 
 
 @pytest.mark.parametrize("name", list(_SINGULAR))
 def test_singular_faces_fall_back_to_least_squares(monkeypatch, name):
-    sigma, lu_attempts = _SINGULAR[name]
-    corr = _correlations(sigma)
+    corr = _correlations(_SINGULAR[name])
     want_z, want_steps = active_set_lstsq(corr)
     lstsq_calls = _count_calls(monkeypatch, "lstsq")
     lu_calls = _count_calls(monkeypatch, "solve")
     got_z, got_steps = _active_set(corr)
     assert lstsq_calls
-    assert len(lu_calls) == lu_attempts
+    assert len(lu_calls) == got_steps
     np.testing.assert_allclose(got_z, want_z, rtol=0.0, atol=1e-10)
     assert got_steps == want_steps
 
@@ -455,9 +462,9 @@ def _faces_solved(monkeypatch):
     blocks = []
     solve = allocation._face_minimizer
 
-    def spied(kkt, probe, try_lu):
+    def spied(kkt, probe):
         blocks.append(kkt[:-1, :-1].copy())
-        return solve(kkt, probe, try_lu)
+        return solve(kkt, probe)
 
     monkeypatch.setattr(allocation, "_face_minimizer", spied)
     return blocks
