@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateDataError, ParameterError
+from .robust import _square
 
 
 @dataclass
@@ -34,17 +35,9 @@ class CovarianceInput:
     vols: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        sigma = self.sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-            raise ParameterError("covariance must be a square matrix")
+        sigma = self.sigma = _square(self.sigma, "covariance")
         if not sigma.size:
             raise ParameterError("covariance is empty: no assets")
-        bad = np.argwhere(~np.isfinite(sigma))
-        if bad.size:
-            row, col = bad[0]
-            raise DegenerateDataError(
-                f"covariance entry ({row}, {col}) is not finite: "
-                f"{sigma[row, col]!r}")
         scale = max(np.abs(sigma).max(), 1.0)
         if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
             raise ParameterError("covariance must be symmetric")
@@ -87,12 +80,9 @@ def _as_cov(cov) -> CovarianceInput:
 
 
 def _as_weights(weights) -> np.ndarray:
-    if isinstance(weights, WeightVector):
-        return weights.weights
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1:
-        raise ParameterError("weights must be a vector")
-    return w
+    if not isinstance(weights, WeightVector):
+        weights = WeightVector(weights)
+    return weights.weights
 
 
 def variety_ratio(weights, cov) -> float:

@@ -75,7 +75,9 @@ class PerfStats:
 def perf_stats(wealth, annualization_days: int = 252) -> PerfStats:
     """Annualized return and volatility, their ratio, and max drawdown.
 
-    The ratio is ``None`` (serialized as null) when volatility is zero.
+    The ratio is ``None`` (serialized as null) when volatility is zero.  A
+    series that is not finite and positive raises NumericalError, as does a
+    return, volatility or ratio that overflows (naming it).
     """
     series = np.asarray(wealth, dtype=float)
     if series.ndim != 1 or series.size < 2:
@@ -83,17 +85,22 @@ def perf_stats(wealth, annualization_days: int = 252) -> PerfStats:
     if annualization_days < 1:
         raise ParameterError(
             f"annualization_days must be >= 1, got {annualization_days}")
-    if np.any(series <= 0.0):
-        raise NumericalError("wealth series is not strictly positive")
+    if not np.all((series > 0.0) & (series < np.inf)):
+        raise NumericalError("wealth series is not finite and positive")
     periods = series.size - 1
-    growth = series[-1] / series[0]
-    ann_return = growth ** (annualization_days / periods) - 1.0
-    daily = series[1:] / series[:-1] - 1.0
-    if daily.size >= 2:
-        ann_vol = float(np.std(daily, ddof=1)) * np.sqrt(annualization_days)
-    else:
-        ann_vol = 0.0
-    ratio = ann_return / ann_vol if ann_vol > 0.0 else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = series[-1] / series[0]
+        ann_return = growth ** (annualization_days / periods) - 1.0
+        daily = series[1:] / series[:-1] - 1.0
+        ann_vol = (float(np.std(daily, ddof=1)) * np.sqrt(annualization_days)
+                   if daily.size >= 2 else 0.0)
+        ratio = ann_return / ann_vol if ann_vol > 0.0 else None
+    for name, value in (("annualized return", ann_return),
+                        ("annualized volatility", ann_vol),
+                        ("return over volatility", ratio or 0.0)):
+        if not np.isfinite(value):
+            raise NumericalError(f"{name} of the wealth series is not "
+                                 f"finite: {float(value)!r}")
     drawdown = float(np.max(1.0 - series / np.maximum.accumulate(series)))
     return PerfStats(annualized_return=float(ann_return),
                      annualized_vol=float(ann_vol),
@@ -203,7 +210,8 @@ def run_backtest(panel: PricePanel,
     """Run the rolling estimate-allocate-hold loop over a price panel.
 
     A package error raised by the estimator or the optimizer propagates as
-    its own class, its message prefixed with ``rebalance <date>:``.
+    its own class, its message prefixed with ``rebalance <date>:``.  Wealth
+    that hits zero or overflows raises NumericalError.
     """
     cfg = config or BacktestConfig()
     panel, benchmark_prices = _split_benchmark(panel, cfg.benchmark)
@@ -244,9 +252,11 @@ def run_backtest(panel: PricePanel,
         previous_weights = target
 
         positions = wealth_values[-1] * target
-        for h in range(decision, hold_end):
-            positions = positions * (1.0 + returns[:, h])
-            wealth_values.append(float(positions.sum()))
+        # wealth that overflows is refused below, as wealth that hits zero
+        with np.errstate(over="ignore", invalid="ignore"):
+            for h in range(decision, hold_end):
+                positions = positions * (1.0 + returns[:, h])
+                wealth_values.append(float(positions.sum()))
     # the holding periods tile [first decision, last hold end), so wealth
     # is valued on every price date of this one span
     span = slice(schedule[0][1], schedule[-1][2] + 1)
@@ -256,6 +266,8 @@ def run_backtest(panel: PricePanel,
         raise NumericalError(
             "portfolio wealth hit zero; inputs are inconsistent with "
             "arithmetic-return accounting")
+    if not np.isfinite(wealth).all():
+        raise NumericalError("portfolio wealth overflowed a float")
     summary = perf_stats(wealth, cfg.annualization_days)
 
     benchmark_wealth = None

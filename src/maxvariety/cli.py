@@ -16,9 +16,8 @@ the only subcommands that draw random numbers, take them from ``--seed``.
 ``main`` builds its argument parser once per process, on its first call,
 and dispatches each subcommand by name to the ``cmd_*`` function of that
 name as it is bound when the call is made.  Only callers that run ``main``
-more than once in one process (tests, benchmarks, Python scripts) save the
-~2 ms the parser takes to build; a shell invocation builds it once either
-way.
+more than once in one process (tests, benchmarks, Python scripts) skip
+rebuilding the parser; a shell invocation builds it once either way.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocation import OptimizerConfig, optimize_variety, variety_ratio
+from .allocation import OptimizerConfig, optimize_variety
 from .backtest import ESTIMATORS, BacktestConfig, BacktestResult, run_backtest
 from .denoise import (CleanConfig, clean_covariance, mp_upper_bound,
                       save_eigenvalue_histogram, select_order)

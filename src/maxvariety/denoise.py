@@ -28,8 +28,8 @@ from .errors import (DegenerateDataError, DegenerateSpectrumError,
                      InsufficientSamplesError, ParameterError)
 from .panels import _float_cells, _write_csv
 from .robust import (ScatterMatrix, TylerConfig, demean_rows, inv_sqrt,
-                     toeplitzify, tyler, _as_matrix, _check_panel,
-                     _check_squares, _tri_inv)
+                     toeplitzify, tyler, _check_panel, _check_squares,
+                     _square, _tri_inv)
 
 # False-alarm level of the order test and the matching upper quantile of
 # the Tracy-Widom law TW1, i.e. P(TW1 > TW1_QUANTILE) = ORDER_ALPHA.
@@ -46,13 +46,26 @@ class EigenSpectrum:
 
 
 def eigen_spectrum(matrix) -> EigenSpectrum:
-    """Full symmetric eigendecomposition, sorted largest first."""
-    values = _as_matrix(matrix)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ParameterError("eigen_spectrum needs a square matrix")
+    """Full symmetric eigendecomposition, sorted largest first.
+
+    A matrix that is not square raises ParameterError; a non-finite entry
+    raises DegenerateDataError naming it.
+    """
+    values = _square(matrix, "eigen_spectrum input")
     eigvals, eigvecs = np.linalg.eigh(0.5 * (values + values.T))
     order = slice(None, None, -1)
     return EigenSpectrum(eigvals[order].copy(), eigvecs[:, order].copy())
+
+
+def _eigenvalues(spectrum, what: str) -> np.ndarray:
+    """``spectrum`` (or an EigenSpectrum's eigenvalues) as a float vector;
+    raises ParameterError unless it is 1-d and finite."""
+    eigvals = np.asarray(spectrum.eigenvalues
+                         if isinstance(spectrum, EigenSpectrum) else spectrum,
+                         dtype=float)
+    if eigvals.ndim != 1 or not np.isfinite(eigvals).all():
+        raise ParameterError(f"{what} expects a vector of finite eigenvalues")
+    return eigvals
 
 
 def mp_upper_bound(ratio_c: float) -> float:
@@ -85,14 +98,10 @@ def select_order(spectrum, lambda_bar: float) -> int:
 
     The pipeline passes the Tracy-Widom threshold ``order_threshold(m, N)``
     (alpha = 0.01, Johnstone 2001); passing the bulk edge
-    ``mp_upper_bound(m / N)`` gives the paper-literal count instead.
+    ``mp_upper_bound(m / N)`` gives the paper-literal count instead.  A
+    non-finite eigenvalue raises ParameterError.
     """
-    if isinstance(spectrum, EigenSpectrum):
-        eigvals = spectrum.eigenvalues
-    else:
-        eigvals = np.asarray(spectrum, dtype=float)
-    if eigvals.ndim != 1:
-        raise ParameterError("select_order expects a vector of eigenvalues")
+    eigvals = _eigenvalues(spectrum, "select_order")
     return int(np.count_nonzero(eigvals > lambda_bar))
 
 
@@ -100,11 +109,9 @@ def clip_spectrum(eigenvalues, k: int) -> np.ndarray:
     """Replace all but the top ``k`` eigenvalues by a common noise level.
 
     The level spreads the remaining trace uniformly, so the total trace is
-    unchanged.
+    unchanged.  A non-finite eigenvalue raises ParameterError.
     """
-    eigvals = np.asarray(eigenvalues, dtype=float)
-    if eigvals.ndim != 1:
-        raise ParameterError("clip_spectrum expects a vector of eigenvalues")
+    eigvals = _eigenvalues(eigenvalues, "clip_spectrum")
     if np.any(np.diff(eigvals) > 0.0):
         raise ParameterError("eigenvalues must be sorted in descending order")
     m = eigvals.size
@@ -115,7 +122,7 @@ def clip_spectrum(eigenvalues, k: int) -> np.ndarray:
     level = (eigvals.sum() - eigvals[:k].sum()) / (m - k)
     if level <= 0.0:
         raise DegenerateSpectrumError(
-            f"clipping produced a non-positive noise level {level!r}")
+            f"clipping produced a non-positive noise level {float(level)!r}")
     out = eigvals.copy()
     out[k:] = level
     return out
@@ -179,7 +186,11 @@ def _noise_factor(noise: np.ndarray, eigen_floor: float) -> np.ndarray | None:
 
     A Cholesky factor of ``S - eigen_floor * I`` certifies that every
     eigenvalue of ``S`` lies above the floor, ``eigen_floor`` times their
-    mean of 1.
+    mean of 1.  The biased ``toeplitzify`` is linear, keeps a PSD matrix
+    PSD and maps I to I, so it never lowers the smallest eigenvalue: ``S``
+    has one below the floor only if the first-pass estimate itself (also
+    on trace m) has one below ``eigen_floor`` times its mean, and only then
+    is None returned.
     """
     try:
         np.linalg.cholesky(noise - eigen_floor * np.eye(noise.shape[0]))
@@ -276,13 +287,17 @@ def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport
 
 
 def save_eigenvalue_histogram(eigenvalues, path) -> None:
-    """Write a 60-bin histogram of the log eigenvalues as CSV for plotting."""
+    """Write a 60-bin histogram of the log eigenvalues as CSV for plotting.
+
+    An eigenvalue that is not finite and strictly positive raises
+    ParameterError.
+    """
     eigvals = np.asarray(eigenvalues, dtype=float).ravel()
     if eigvals.size == 0:
         raise ParameterError("no eigenvalues to histogram")
-    if np.any(eigvals <= 0.0):
+    if not np.all((eigvals > 0.0) & (eigvals < np.inf)):
         raise ParameterError(
-            "log-scale histogram needs strictly positive eigenvalues")
+            "log-scale histogram needs finite, strictly positive eigenvalues")
     counts, edges = np.histogram(np.log(eigvals), bins=60)
     centers = _float_cells(0.5 * (edges[:-1] + edges[1:]))
     _write_csv(path, ["bin_center", "count"], zip(centers, counts.tolist()))

@@ -35,15 +35,22 @@ class ScatterMatrix:
     residual: float | None = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise ParameterError("scatter matrix must be square")
+        self.values = _square(self.values, "scatter")
 
 
-def _as_matrix(scatter) -> np.ndarray:
-    if isinstance(scatter, ScatterMatrix):
-        return scatter.values
-    return np.asarray(scatter, dtype=float)
+def _square(matrix, what: str) -> np.ndarray:
+    """``matrix`` (or a ScatterMatrix's values) as a float array; raises
+    ParameterError unless it is square, DegenerateDataError naming its
+    first non-finite entry."""
+    values = np.asarray(matrix.values if isinstance(matrix, ScatterMatrix)
+                        else matrix, dtype=float)
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise ParameterError(f"{what} must be a square matrix")
+    if not np.isfinite(values).all():
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        raise DegenerateDataError(f"{what} entry ({row}, {col}) is not "
+                                  f"finite: {float(values[row, col])!r}")
+    return values
 
 
 def _check_panel(panel) -> np.ndarray:
@@ -57,7 +64,7 @@ def _check_panel(panel) -> np.ndarray:
         asset, obs = np.argwhere(~finite)[0]
         raise DegenerateDataError(
             f"panel entry (asset {asset}, observation {obs}) is not finite: "
-            f"{panel[asset, obs]!r}")
+            f"{float(panel[asset, obs])!r}")
     return panel
 
 
@@ -68,6 +75,17 @@ def _check_squares(squares: np.ndarray, what: str) -> None:
     if over.size:
         raise DegenerateDataError(
             f"the sum of squares of {what} {over[0]} overflows")
+
+
+def _observation_squares(panel: np.ndarray) -> np.ndarray:
+    """Each observation's sum of squares; DegenerateDataError names the
+    first observation that is all zero or whose sum overflows."""
+    squares = np.einsum("ij,ij->j", panel, panel)
+    dead = np.flatnonzero(squares == 0.0)
+    if dead.size:
+        raise DegenerateDataError(f"observation {dead[0]} is identically zero")
+    _check_squares(squares, "observation")
+    return squares
 
 
 def demean_rows(panel: np.ndarray) -> np.ndarray:
@@ -91,7 +109,6 @@ def scm(panel, demean: bool = False) -> ScatterMatrix:
         cov = panel @ panel.T
     _check_squares(np.diagonal(cov), "asset")
     cov /= n
-    cov = 0.5 * (cov + cov.T)
     if not np.any(cov):
         raise SingularMatrixError("sample covariance is identically zero")
     return ScatterMatrix(cov)
@@ -172,8 +189,10 @@ def _tyler_step(panel: np.ndarray, current: np.ndarray, white=None,
         raise SingularMatrixError(
             "scatter iterate lost positive definiteness")
     scaled = np.divide(panel, np.sqrt(quad), out=scaled)
-    update = (m / n) * (scaled @ scaled.T)
-    return 0.5 * (update + update.T)
+    # numpy's syrk for ``x @ x.T`` mirrors a triangle: exactly symmetric
+    update = scaled @ scaled.T
+    update *= m / n
+    return update
 
 
 # Anderson mixing (Walker & Ni 2011) extrapolates from this many of the
@@ -317,12 +336,7 @@ def tyler(panel, config: TylerConfig | None = None, *,
     if n <= m:
         raise InsufficientSamplesError(
             f"need more observations than assets, got m={m}, N={n}")
-    squares = np.einsum("ij,ij->j", panel, panel)
-    dead = np.flatnonzero(squares == 0.0)
-    if dead.size:
-        raise DegenerateDataError(
-            f"observation {dead[0]} is identically zero")
-    _check_squares(squares, "observation")
+    squares = _observation_squares(panel)
 
     # a sweep from the identity takes its quadratic forms from ``squares``
     current, first = ((np.eye(m), squares) if start is None
@@ -367,12 +381,17 @@ def tyler(panel, config: TylerConfig | None = None, *,
 def fixed_point_residual(panel, scatter) -> float:
     """Relative Frobenius defect of the scatter fixed-point equation.
 
-    An observation whose sum of squares overflows raises
-    DegenerateDataError naming it, as in ``tyler``.
+    The panel is checked as in ``tyler``; a scatter that is not m x m or
+    not finite raises ParameterError or DegenerateDataError naming why.
     """
     panel = _check_panel(panel)
-    _check_squares(np.einsum("ij,ij->j", panel, panel), "observation")
-    values = _as_matrix(scatter)
+    _observation_squares(panel)
+    values = _square(scatter, "scatter")
+    if len(values) != len(panel):
+        raise ParameterError(f"scatter must be {len(panel)} x {len(panel)}")
+    # the defect is scale-free; at unit scale its norms cannot under- or
+    # overflow
+    values = values / max(np.abs(values).max(), np.finfo(float).tiny)
     step = _tyler_step(panel, values)
     return np.linalg.norm(step - values) / np.linalg.norm(values)
 
@@ -385,11 +404,10 @@ def toeplitzify(matrix, *, biased: bool = True) -> np.ndarray:
     but keeps the output positive semidefinite whenever the input is.  With
     ``biased=False`` each diagonal is divided by its own length, the
     orthogonal projection onto symmetric Toeplitz matrices; that variant is
-    idempotent but can break positive semidefiniteness.
+    idempotent but can break positive semidefiniteness.  A matrix that is
+    not square raises ParameterError, a non-finite entry DegenerateDataError.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ParameterError("toeplitzify needs a square matrix")
+    matrix = _square(matrix, "toeplitzify input")
     sym = 0.5 * (matrix + matrix.T)
     m = sym.shape[0]
     lags = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
@@ -417,14 +435,16 @@ def inv_sqrt(scatter, eigen_floor: float = 1e-10) -> np.ndarray:
 
     Eigenvalues below ``eigen_floor`` times the mean eigenvalue are raised to
     that floor before inversion; doing so emits an EigenvalueFloorWarning.
-    Raises SingularMatrixError when no strictly positive floor exists.
+    Raises SingularMatrixError when no strictly positive floor exists,
+    ParameterError on a matrix that is not square and DegenerateDataError
+    on a non-finite entry.
     """
     if not 0.0 <= eigen_floor < math.inf:
         raise ParameterError(
             f"eigen_floor must be >= 0 and finite, got {eigen_floor}")
-    values = _as_matrix(scatter)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ParameterError("inv_sqrt needs a square matrix")
+    values = _square(scatter, "inv_sqrt input")
+    if not values.size:
+        raise ParameterError("inv_sqrt input is empty")
     sym = 0.5 * (values + values.T)
     eigvals, eigvecs = np.linalg.eigh(sym)
     mean = eigvals.mean()

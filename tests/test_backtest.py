@@ -235,6 +235,23 @@ def test_perf_stats_rejects_nonpositive_wealth():
         perf_stats([100.0, -5.0, 50.0])
 
 
+@pytest.mark.parametrize("wealth, named", [
+    ([100.0, np.inf], "wealth series is not finite"),
+    ([100.0, np.nan, 100.0], "wealth series is not finite"),
+    ([100.0, 1e300], "annualized return of the wealth series is not finite"),
+    ([100.0, 1e300, 100.0],
+     "annualized volatility of the wealth series is not finite"),
+    # steady growth whose daily returns differ only by rounding
+    ([1.0, 15.5, 15.5 * 15.5 * (1 + 4e-16)],
+     "return over volatility of the wealth series is not finite"),
+])
+def test_perf_stats_refuses_what_is_not_finite(wealth, named):
+    # raised before numpy warns: the test configuration makes a warning an
+    # error
+    with pytest.raises(NumericalError, match=named):
+        perf_stats(wealth)
+
+
 def test_perf_stats_needs_two_points():
     with pytest.raises(ParameterError):
         perf_stats([100.0])
@@ -259,6 +276,17 @@ def test_run_backtest_single_asset_holds_everything():
     start = 30 + 1  # decision index in return space -> price index
     relative = panel.prices[0, start - 1:] / panel.prices[0, start - 1]
     np.testing.assert_allclose(result.wealth, 100.0 * relative)
+
+
+def test_run_backtest_refuses_wealth_that_overflows():
+    # two jumps of 1e300 in the last holding period (price dates 56-60),
+    # on an asset priced near 1e-298, which no estimation window sees
+    panel = _synthetic_prices(1, 61, seed=41)
+    panel.prices *= 1e-300
+    panel.prices[:, 57:] *= 1e300
+    panel.prices[:, 59:] *= 1e300
+    with pytest.raises(NumericalError, match="wealth overflowed"):
+        run_backtest(panel, _small_config())
 
 
 def test_run_backtest_constant_prices_rejected_by_robust_estimator():

@@ -600,6 +600,28 @@ def test_backtest_non_finite_price_is_data_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("estimators", [["--estimator", "scm"],
+                                        ["--compare"]])
+def test_backtest_overflowing_return_exits_3(tmp_path, capsys, estimators):
+    # one daily jump of 1e150 in the second asset, inside a holding period
+    prices = tmp_path / "prices.csv"
+    _write_price_csv(prices, m=3, t=61)
+    rows = _csv_rows(prices)
+    for row in rows[46:]:
+        row[2] = repr(float(row[2]) * 1e150)
+    with open(prices, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    out = tmp_path / "bt"
+    code = _run("backtest", "--prices", str(prices), *estimators,
+                "--window-days", "30", "--rebalance-days", "5",
+                "--out", str(out))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: annualized return of the wealth "
+                          "series is not finite: inf")
+    assert not (out / "result.json").exists()
+
+
 def test_backtest_short_history_is_parameter_error(tmp_path, capsys):
     prices = tmp_path / "prices.csv"
     _write_price_csv(prices, m=2, t=25)

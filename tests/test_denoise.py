@@ -131,6 +131,19 @@ def test_clip_spectrum_validation():
         clip_spectrum(np.array([2.0, 1.0]), k=3)  # k out of range
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_spectrum_tools_refuse_a_non_finite_eigenvalue(tmp_path, value):
+    eigs = np.array([3.0, 2.0, 1.0])
+    eigs[1] = value
+    with pytest.raises(ParameterError, match="finite eigenvalues"):
+        select_order(eigs, 1.5)
+    with pytest.raises(ParameterError, match="finite eigenvalues"):
+        clip_spectrum(eigs, 1)
+    with pytest.raises(ParameterError, match="finite, strictly positive"):
+        save_eigenvalue_histogram(eigs, tmp_path / "h.csv")
+    assert not (tmp_path / "h.csv").exists()
+
+
 def test_clip_spectrum_degenerate_remainder():
     # all mass in the kept part leaves nothing to spread
     with pytest.raises(DegenerateSpectrumError):

@@ -3,11 +3,16 @@
 CSV texts go to both loaders, finite panels to the estimators and the
 optimizer, covariances from 0 x 0 up to the optimizer and the ratio, and
 price panels built in code to the backtest; each call may return or raise
-``MaxVarietyError``, and any other exception fails the property.
+``MaxVarietyError``, and any other exception fails the property.  The same
+covariances go to the square-matrix and spectrum tools, to ``perf_stats``
+and, with panels of their size or one more and some all-zero
+observations, to ``fixed_point_residual``; those calls must also return
+finite numbers and raise no numpy warning.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 
 import numpy as np
@@ -16,9 +21,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from maxvariety import (BacktestConfig, CleanConfig, MaxVarietyError,
-                        PricePanel, clean_covariance, load_prices,
-                        load_returns_csv, optimize_variety, run_backtest, scm,
-                        to_returns, tyler, variety_ratio)
+                        PricePanel, ScatterMatrix, clean_covariance,
+                        clip_spectrum, eigen_spectrum, fixed_point_residual,
+                        inv_sqrt, load_prices, load_returns_csv,
+                        optimize_variety, perf_stats, run_backtest,
+                        save_eigenvalue_histogram, scm, select_order,
+                        to_returns, toeplitzify, tyler, variety_ratio)
 
 # cells that break a table: non-numbers, non-finite or out-of-range
 # numbers, quotes, NUL, BOM, CR, bad dates and arbitrary short text
@@ -185,3 +193,58 @@ def test_backtest_on_built_price_panels_raises_maxvariety_errors(
             call()
         except MaxVarietyError:
             pass
+
+
+def _finite(result) -> bool:
+    """Whether every number in a result (an array, a number, None or a
+    dataclass of those) is finite."""
+    if result is None:
+        return True
+    if dataclasses.is_dataclass(result):
+        return all(_finite(value) for value in vars(result).values())
+    return bool(np.isfinite(np.asarray(result, dtype=float)).all())
+
+
+def _finite_or_refused(call) -> None:
+    try:
+        result = call()
+    except MaxVarietyError:
+        return
+    assert _finite(result), result
+
+
+@pytest.mark.filterwarnings("ignore::maxvariety.EigenvalueFloorWarning")
+@settings(max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cov=_covariances(), k=st.integers(0, 3))
+def test_matrix_and_spectrum_tools_return_finite_or_raise_maxvariety_errors(
+        tmp_path, cov, k):
+    # every numpy warning is an error here, so a call that warns fails too
+    diagonal = np.diagonal(cov)
+    calls = [lambda: toeplitzify(cov),
+             lambda: toeplitzify(cov, biased=False),
+             lambda: inv_sqrt(cov),
+             lambda: eigen_spectrum(cov),
+             lambda: ScatterMatrix(cov),
+             lambda: select_order(diagonal, 1.0),
+             lambda: select_order(cov, 1.0),
+             lambda: clip_spectrum(np.sort(diagonal)[::-1], k),
+             lambda: save_eigenvalue_histogram(cov, tmp_path / "h.csv"),
+             lambda: perf_stats(cov.ravel()),
+             lambda: perf_stats(100.0 + np.abs(diagonal))]
+    for call in calls:
+        _finite_or_refused(call)
+
+
+@settings(max_examples=150)
+@given(cov=_covariances(), extra=st.integers(0, 1), n=st.integers(1, 8),
+       dead=st.lists(st.integers(0, 7), max_size=2),
+       seed=st.integers(0, 2**16))
+def test_fixed_point_residual_returns_finite_or_raises_maxvariety_errors(
+        cov, extra, n, dead, seed):
+    # a panel with as many assets as the scatter has rows, or one more,
+    # and up to two all-zero observations
+    panel = np.random.default_rng(seed).standard_normal(
+        (cov.shape[0] + extra, n))
+    panel[:, [j for j in dead if j < n]] = 0.0
+    _finite_or_refused(lambda: fixed_point_residual(panel, cov))

@@ -10,13 +10,14 @@ from hypothesis.extra.numpy import arrays
 
 import maxvariety.robust as robust
 
-from maxvariety import (CleanConfig, ConvergenceError, DegenerateDataError,
-                        EigenvalueFloorWarning, FactorModelSpec,
-                        InsufficientSamplesError, MaxVarietyError,
-                        ParameterError, SingularMatrixError,
-                        TylerConfig, clean_covariance, fixed_point_residual,
-                        gen_panel, gen_toeplitz_scatter, inv_sqrt,
-                        mp_upper_bound, scm, toeplitzify, tyler)
+from maxvariety import (CleanConfig, ConvergenceError, CovarianceInput,
+                        DegenerateDataError, EigenvalueFloorWarning,
+                        FactorModelSpec, InsufficientSamplesError,
+                        MaxVarietyError, ParameterError, ScatterMatrix,
+                        SingularMatrixError, TylerConfig, clean_covariance,
+                        eigen_spectrum, fixed_point_residual, gen_panel,
+                        gen_toeplitz_scatter, inv_sqrt, mp_upper_bound, scm,
+                        toeplitzify, tyler)
 from maxvariety.robust import _tri_inv, _tyler_step
 
 
@@ -473,6 +474,78 @@ def test_fixed_point_residual_rejects_indefinite_scatter():
         fixed_point_residual(panel, -np.eye(5))
 
 
+@pytest.mark.parametrize("estimate", [
+    tyler, lambda x: fixed_point_residual(x, np.eye(4))])
+def test_an_all_zero_observation_is_named(estimate):
+    panel = np.random.default_rng(9).standard_normal((4, 40))
+    panel[:, 7] = 0.0
+    with pytest.raises(DegenerateDataError,
+                       match="observation 7 is identically zero"):
+        estimate(panel)
+
+
+def test_fixed_point_residual_rejects_a_scatter_of_another_size():
+    panel = np.random.default_rng(9).standard_normal((4, 40))
+    for scatter in (np.eye(3), np.eye(5), np.ones((4, 3)), np.eye(4)[0]):
+        with pytest.raises(ParameterError, match="must be"):
+            fixed_point_residual(panel, scatter)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
+def test_fixed_point_residual_is_scale_free(scale):
+    panel = _noise_panel(10, 100, rho=0.5, nu=1.0, seed=9).returns
+    fit = tyler(panel).values
+    want = fixed_point_residual(panel, fit)
+    assert fixed_point_residual(panel, scale * fit) == pytest.approx(
+        want, rel=1e-6)
+
+
+_SQUARE_CHECKED = [toeplitzify, inv_sqrt, eigen_spectrum, ScatterMatrix,
+                   CovarianceInput,
+                   lambda c: fixed_point_residual(np.ones((3, 5)), c)]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", _SQUARE_CHECKED)
+def test_square_matrix_inputs_name_a_non_finite_entry(call, value):
+    matrix = np.eye(3)
+    matrix[1, 2] = matrix[2, 0] = value
+    with pytest.raises(DegenerateDataError,
+                       match=rf"entry \(1, 2\) is not finite: {value!r}"):
+        call(matrix)
+
+
+@pytest.mark.parametrize("call", _SQUARE_CHECKED)
+def test_square_matrix_inputs_refuse_other_shapes(call):
+    for matrix in (np.ones(3), np.ones((3, 2)), np.ones((1, 3, 3))):
+        with pytest.raises(ParameterError, match="square matrix|must be"):
+            call(matrix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 40), n=st.integers(1, 150),
+       layout=st.sampled_from(["C", "F", "slice"]), from_eye=st.booleans(),
+       buffers=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_sweep_update_and_scm_are_exactly_symmetric(m, n, layout, from_eye,
+                                                      buffers, seed):
+    # the sweep and scm leave ``x @ x.T`` unsymmetrized: numpy computes it
+    # by one syrk that mirrors a triangle, on any of these layouts
+    rng = np.random.default_rng(seed)
+    panel = rng.standard_normal((m, n + 3))
+    panel = (panel[:, 1:n + 1] if layout == "slice"
+             else np.asarray(panel[:, :n], order=layout))
+    root = rng.standard_normal((m, m))
+    current = np.eye(m) if from_eye else root @ root.T + m * np.eye(m)
+    quad = np.einsum("ij,ij->j", panel, panel) if from_eye else None
+    work = (np.empty((m, n)), np.empty((m, n))) if buffers else (None, None)
+    update = _tyler_step(panel, current, *work, quad)
+    assert np.array_equal(update, update.T)
+    # one demeaned observation is all zero, which scm refuses
+    for demean in (False, True) if n > 1 else (False,):
+        cov = scm(panel, demean=demean).values
+        assert np.array_equal(cov, cov.T)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("estimate", [tyler, scm, clean_covariance])
 def test_non_finite_panel_entry_rejected(estimate, value):
@@ -614,6 +687,22 @@ def test_toeplitzify_preserves_psd():
         b = rng.standard_normal((12, 12))
         psd = b @ b.T
         assert np.linalg.eigvalsh(toeplitzify(psd)).min() > -1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 12), rank=st.integers(1, 14),
+       scale=st.sampled_from([1e-100, 1.0, 1e100]),
+       seed=st.integers(0, 2**32 - 1))
+def test_biased_toeplitzify_never_lowers_the_smallest_eigenvalue(m, rank,
+                                                                  scale,
+                                                                  seed):
+    # T is linear, keeps PSD matrices PSD and maps I to I, so
+    # C - lambda_min(C) I >= 0 gives T(C) - lambda_min(C) I >= 0
+    root = np.random.default_rng(seed).standard_normal((m, rank))
+    psd = scale * (root @ root.T)
+    eigs = np.linalg.eigvalsh(psd)
+    got = np.linalg.eigvalsh(toeplitzify(psd)).min()
+    assert got >= eigs[0] - 1e-12 * eigs[-1]
 
 
 def test_toeplitzify_biased_is_not_idempotent():
