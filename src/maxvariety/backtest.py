@@ -10,6 +10,7 @@ rebalance.  Wealth starts at 100 on the first rebalance date.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -62,6 +63,20 @@ def turnover(previous, current) -> float:
     return float(np.abs(cur - prev).sum())
 
 
+def _annualization(days) -> float:
+    """``annualization_days`` as a float; ParameterError unless it is at
+    least 1 and a float can hold it."""
+    try:
+        value = float(days)
+    except OverflowError:  # an int past the float range
+        raise ParameterError(
+            "annualization_days is too large for a float") from None
+    if not 1.0 <= value < math.inf:
+        raise ParameterError(
+            f"annualization_days must be >= 1 and finite, got {days}")
+    return value
+
+
 @dataclass
 class PerfStats:
     """Headline performance numbers of a wealth curve."""
@@ -77,22 +92,21 @@ def perf_stats(wealth, annualization_days: int = 252) -> PerfStats:
 
     The ratio is ``None`` (serialized as null) when volatility is zero.  A
     series that is not finite and positive raises NumericalError, as does a
-    return, volatility or ratio that overflows (naming it).
+    return, volatility or ratio that overflows (naming it);
+    ``annualization_days`` below 1 or past the float range, ParameterError.
     """
     series = np.asarray(wealth, dtype=float)
     if series.ndim != 1 or series.size < 2:
         raise ParameterError("wealth series needs at least two points")
-    if annualization_days < 1:
-        raise ParameterError(
-            f"annualization_days must be >= 1, got {annualization_days}")
+    days = _annualization(annualization_days)
     if not np.all((series > 0.0) & (series < np.inf)):
         raise NumericalError("wealth series is not finite and positive")
     periods = series.size - 1
     with np.errstate(over="ignore", invalid="ignore"):
         growth = series[-1] / series[0]
-        ann_return = growth ** (annualization_days / periods) - 1.0
+        ann_return = growth ** (days / periods) - 1.0
         daily = series[1:] / series[:-1] - 1.0
-        ann_vol = (float(np.std(daily, ddof=1)) * np.sqrt(annualization_days)
+        ann_vol = (float(np.std(daily, ddof=1)) * np.sqrt(days)
                    if daily.size >= 2 else 0.0)
         ratio = ann_return / ann_vol if ann_vol > 0.0 else None
     for name, value in (("annualized return", ann_return),
@@ -131,10 +145,7 @@ class BacktestConfig:
         if self.rebalance_days < 1:
             raise ParameterError(
                 f"rebalance_days must be >= 1, got {self.rebalance_days}")
-        if self.annualization_days < 1:
-            raise ParameterError(
-                f"annualization_days must be >= 1, "
-                f"got {self.annualization_days}")
+        _annualization(self.annualization_days)
         if self.estimator not in ESTIMATORS:
             raise ParameterError(
                 f"unknown estimator {self.estimator!r}; "

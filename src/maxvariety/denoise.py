@@ -262,6 +262,7 @@ def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport
         # Affine equivariance puts pass 2's fixed point at the whitened pass
         # 1 estimate; one sweep from there certifies it.
         start = whitener @ robust_scatter.values @ whitener_t
+        del work  # the demeaned copy is not needed once whitened
         whitened_scatter = tyler(whitened, cfg.tyler,
                                  start=0.5 * (start + start.T))
     notes.extend(str(w.message) for w in caught)

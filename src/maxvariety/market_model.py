@@ -147,9 +147,13 @@ def gen_panel(spec: FactorModelSpec) -> SyntheticPanel:
     for t in np.flatnonzero(norms == 0.0):
         block[t], norms[t] = gen_sphere_vector(spec.m, rng), 1.0
     directions = np.divide(block.T, norms, out=np.empty((spec.m, spec.N)))
-
-    noise = np.sqrt(textures)[None, :] * (scatter_half @ directions)
-    returns = loadings @ factors + noise
+    del block  # each m x N intermediate goes once the next one is built
+    noise = scatter_half @ directions
+    del directions
+    noise *= np.sqrt(textures)
+    # ``loadings @ factors + noise`` in that order, for the same bits (the
+    # product is zeros at K = 0 and turns a -0.0 to +0.0), over ``noise``
+    returns = np.add(loadings @ factors, noise, out=noise)
     return SyntheticPanel(returns=returns, true_scatter=scatter,
                           true_loadings=loadings, textures=textures,
                           factors=factors)

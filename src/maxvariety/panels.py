@@ -95,9 +95,9 @@ def save_returns_csv(panel: ReturnsPanel, path) -> None:
                 for j, stamp in enumerate(panel.timestamps)))
 
 
-def _csv_rows(text: str, path) -> list[list[str]]:
+def _csv_rows(lines, path) -> list[list[str]]:
     try:
-        return list(csv.reader(io.StringIO(text, newline="")))
+        return list(csv.reader(io.StringIO("".join(lines), newline="")))
     except csv.Error as exc:
         raise IngestionError(f"{path}: malformed CSV: {exc}") from exc
 
@@ -128,42 +128,41 @@ _KEY_COLUMN = {0: lambda key: 0.0}
 
 
 def _read_csv(path, what: str, key=str):
-    """The text of a UTF-8 CSV file, and ``(header, keys, cells)`` if plain.
+    """The lines of a UTF-8 CSV file, each with its LF (joined, they give
+    its text), and ``(header, keys, cells)`` if plain.
 
     Plain: a header line csv reads strictly, then no quote, blank line,
     over-long line or lone CR (loadtxt rejects it), and on each line a
     ``key`` and the header's count of finite numbers; else ``None``.
     """
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"cannot read {what} file {path}: {exc}") from exc
-    head = text[:text.find("\n") + 1]
-    stream = io.StringIO(head, newline="")
+    stream = io.StringIO(lines[0] if lines else "", newline="")
     try:
         header = next(csv.reader(stream, strict=True), [])
     except csv.Error:
-        return text, None
-    width, lines = len(header), text.split("\n")[1:]
-    if lines and not lines[-1]:
-        lines.pop()
-    if (width < 2 or not lines or stream.read()  # a lone CR ended the header
-            or not lines[0].rstrip("\r")  # loadtxt warns on a blank body
-            or text.find('"', len(head)) >= 0
-            or max(map(len, lines)) > csv.field_size_limit()):
-        return text, None
+        return lines, None
+    width, body = len(header), lines[1:]
+    if (width < 2 or not body or stream.read()  # a lone CR ended the header
+            or not body[0].rstrip("\r\n")  # loadtxt warns on a blank body
+            or any('"' in line for line in body)
+            or max(len(line) - line.endswith("\n") for line in body)
+            > csv.field_size_limit()):
+        return lines, None
     try:
-        cells = np.loadtxt(lines, delimiter=",", converters=_KEY_COLUMN,
+        cells = np.loadtxt(body, delimiter=",", converters=_KEY_COLUMN,
                            comments=None, ndmin=2)
-        keys = [key(line.partition(",")[0]) for line in lines]
+        keys = [key(line.partition(",")[0]) for line in body]
     except ValueError:
-        return text, None
+        return lines, None
     # loadtxt skips blank lines and gives every line the first's field
     # count: the full shape means the header's count on every line
-    if cells.shape != (len(lines), width) or not np.isfinite(cells).all():
-        return text, None
-    return text, (header, keys, cells[:, 1:])
+    if cells.shape != (len(body), width) or not np.isfinite(cells).all():
+        return lines, None
+    return lines, (header, keys, cells[:, 1:])
 
 
 def load_returns_csv(path) -> ReturnsPanel:
@@ -173,11 +172,11 @@ def load_returns_csv(path) -> ReturnsPanel:
     cell is missing, not numeric, or not finite (``nan``, ``inf``), and
     naming both columns when a label heads two.
     """
-    content, plain = _read_csv(path, "returns")
+    lines, plain = _read_csv(path, "returns")
     if plain is not None:
         header, keys, cells = plain
     else:
-        rows = _csv_rows(content, path)
+        rows = _csv_rows(lines, path)
         if not rows or len(rows[0]) < 2:
             raise IngestionError(f"{path}: missing header row")
         header = rows[0]
@@ -205,6 +204,7 @@ def load_returns_csv(path) -> ReturnsPanel:
             raise IngestionError(
                 f"{path}: row {r + 2}, column {c + 2} ({header[c + 1]!r}): "
                 f"not finite: {body[r][c + 1]!r}")
+    del lines  # the text goes before the cells' row-major copy is made
     return ReturnsPanel(cells.T, labels=_labels(header, path), timestamps=keys)
 
 
@@ -252,14 +252,14 @@ def load_prices(path, missing_policy: str = "error") -> PricePanel:
     """
     if missing_policy not in MISSING_POLICIES:
         raise ParameterError(f"unknown missing policy {missing_policy!r}")
-    content, plain = _read_csv(path, "price", key=datetime.date.fromisoformat)
+    lines, plain = _read_csv(path, "price", key=datetime.date.fromisoformat)
     if plain is not None:
         header, dates, cells = plain
         if ((cells > 0.0).all()
                 and all(a < b for a, b in zip(dates, dates[1:]))):
             labels = _labels(header, path)
             return PricePanel(dates, cells.T, labels, dict.fromkeys(labels, 0))
-    rows = _csv_rows(content, path)
+    rows = _csv_rows(lines, path)
     if not rows or len(rows[0]) < 2:
         raise IngestionError(f"{path}: missing header row with asset labels")
     labels = _labels(rows[0], path)
@@ -314,9 +314,21 @@ def load_prices(path, missing_policy: str = "error") -> PricePanel:
 
 
 def to_returns(panel: PricePanel) -> ReturnsPanel:
-    """Arithmetic returns; the timestamp of each return is its later date."""
+    """Arithmetic returns; the timestamp of each return is its later date.
+
+    A return that is not finite (a price ratio that overflows) raises
+    IngestionError naming the first such date and its asset.
+    """
     if panel.prices.shape[1] < 2:
         raise ParameterError("need at least two price dates to form returns")
-    ret = panel.prices[:, 1:] / panel.prices[:, :-1] - 1.0
+    with np.errstate(all="ignore"):
+        ret = panel.prices[:, 1:] / panel.prices[:, :-1] - 1.0
+    bad = np.argwhere(~np.isfinite(ret.T))
+    if bad.size:
+        t, asset = bad[0]
+        raise IngestionError(
+            f"{panel.dates[t + 1]}, column {panel.labels[asset]!r}: return "
+            f"from price {float(panel.prices[asset, t])!r} to "
+            f"{float(panel.prices[asset, t + 1])!r} is not finite")
     stamps = [d.isoformat() for d in panel.dates[1:]]
     return ReturnsPanel(ret, labels=list(panel.labels), timestamps=stamps)

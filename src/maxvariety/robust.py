@@ -161,17 +161,17 @@ def _tri_inv(lower: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _tyler_step(panel: np.ndarray, current: np.ndarray, white=None,
-                scaled=None, quad=None) -> np.ndarray:
+def _tyler_step(panel: np.ndarray, current: np.ndarray, work=None,
+                quad=None) -> np.ndarray:
     """One fixed-point sweep: reweight samples by their Mahalanobis norm.
 
     With the Cholesky factor ``current = L L'``, the norm ``r' C^{-1} r`` of
     a sample is the squared length of ``L^{-1} r``, so one m x m factor, its
     triangular inverse (``_tri_inv``) and one matrix product give all N of
     them; the factor is also the sweep's test that ``current`` is positive
-    definite.  ``white`` and ``scaled`` are optional m x N float buffers
-    for the two panel-sized intermediates; a caller that sweeps many times
-    passes the same pair to every sweep.  ``quad``, when given, holds those
+    definite.  The whitened panel and then the reweighted one are written
+    to ``work``, an optional m x N float buffer, which a caller that sweeps
+    many times passes to every sweep.  ``quad``, when given, holds those
     N norms already and the sweep skips the factor and the product: at
     ``current = I`` they are the samples' sums of squares, and the sweep is
     bit-identical to the factored one.
@@ -183,12 +183,12 @@ def _tyler_step(panel: np.ndarray, current: np.ndarray, white=None,
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(
                 "scatter iterate lost positive definiteness") from exc
-        white = np.matmul(_tri_inv(factor), panel, out=white)
-        quad = np.einsum("ij,ij->j", white, white)
+        work = np.matmul(_tri_inv(factor), panel, out=work)
+        quad = np.einsum("ij,ij->j", work, work)
     if not np.all(quad > 0.0):
         raise SingularMatrixError(
             "scatter iterate lost positive definiteness")
-    scaled = np.divide(panel, np.sqrt(quad), out=scaled)
+    scaled = np.divide(panel, np.sqrt(quad), out=work)
     # numpy's syrk for ``x @ x.T`` mirrors a triangle: exactly symmetric
     update = scaled @ scaled.T
     update *= m / n
@@ -294,7 +294,7 @@ def tyler(panel, config: TylerConfig | None = None, *,
     factor of the current iterate, except a first sweep from the identity,
     which reads them off the observations' sums of squares (computed once,
     also to find an all-zero or overflowing observation); all sweeps of one
-    call share one workspace for the m x N intermediates.
+    call share one m x N workspace.
 
     The iteration takes plain sweeps ``C <- G(C)`` until the first sweep
     whose relative residual ``|G(C) - C| / |C|`` (Frobenius) is below
@@ -341,13 +341,13 @@ def tyler(panel, config: TylerConfig | None = None, *,
     # a sweep from the identity takes its quadratic forms from ``squares``
     current, first = ((np.eye(m), squares) if start is None
                       else (_check_start(start, m), None))
-    white, scaled = np.empty((m, n)), np.empty((m, n))
+    work = np.empty((m, n))
     history = _Anderson(m * m)
     plain, mixing, mixed = None, False, False
     residual = np.inf
     for sweeps in range(1, cfg.max_iter + 1):
         try:
-            update = _tyler_step(panel, current, white, scaled,
+            update = _tyler_step(panel, current, work,
                                  first if sweeps == 1 else None)
         except SingularMatrixError:
             if not mixed:

@@ -7,7 +7,9 @@ price panels built in code to the backtest; each call may return or raise
 covariances go to the square-matrix and spectrum tools, to ``perf_stats``
 and, with panels of their size or one more and some all-zero
 observations, to ``fixed_point_residual``; those calls must also return
-finite numbers and raise no numpy warning.
+finite numbers and raise no numpy warning.  Price files with a price
+ratio that overflows, or an ``annualization_days`` past the float range,
+go through ``cli.main``, which must exit with the refusal's code.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import maxvariety.cli as cli
 from maxvariety import (BacktestConfig, CleanConfig, MaxVarietyError,
                         PricePanel, ScatterMatrix, clean_covariance,
                         clip_spectrum, eigen_spectrum, fixed_point_residual,
@@ -150,16 +153,27 @@ def test_optimizer_on_small_covariances_raises_maxvariety_errors(cov):
             pass
 
 
+def _jump(draw, prices) -> None:
+    """Perhaps make one asset's price jump from 1e-200 to 1e200 between two
+    consecutive dates: both are valid prices, their ratio overflows."""
+    m, t = prices.shape
+    if m and t > 1 and draw(st.booleans()):
+        day = draw(st.integers(0, t - 2))
+        prices[draw(st.integers(0, m - 1)), day:day + 2] = 1e-200, 1e200
+
+
 @st.composite
 def _price_panels(draw):
     """Price panels built in code: m 0-4 rows of positive prices over 0-14
     dates, labels from a small pool that may repeat, dates that may repeat
-    or go back, and up to two prices set to an odd value."""
+    or go back, perhaps an overflowing jump, and up to two prices set to
+    an odd value."""
     m = draw(st.integers(0, 4))
     t = draw(st.integers(0, 14))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     prices = 100.0 * np.exp(np.cumsum(
         0.05 * rng.standard_normal((m, t)), axis=1))
+    _jump(draw, prices)
     for _ in range(draw(st.integers(0, 2)) if m and t else 0):
         prices[draw(st.integers(0, m - 1)), draw(st.integers(0, t - 1))] = (
             draw(_ODD_ENTRIES))
@@ -193,6 +207,49 @@ def test_backtest_on_built_price_panels_raises_maxvariety_errors(
             call()
         except MaxVarietyError:
             pass
+
+
+@settings(max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(m=st.integers(1, 3), t=st.integers(9, 14), seed=st.integers(0, 2**16),
+       data=st.data(), days=st.sampled_from(
+           [None, 252, 10**308, 10**309, 10**400]))
+def test_backtest_refusals_exit_with_their_codes(tmp_path, capsys, m, t,
+                                                 seed, data, days):
+    # a price file load_prices accepts, perhaps with an overflowing jump;
+    # an annualization_days past the float range is refused first (the
+    # config is read before the prices), then the jump, as a data error
+    prices = 100.0 * np.exp(np.cumsum(
+        0.05 * np.random.default_rng(seed).standard_normal((m, t)), axis=1))
+    _jump(data.draw, prices)
+    labels = [f"A{i}" for i in range(m)]
+    dates = [datetime.date(2024, 1, 2) + datetime.timedelta(days=d)
+             for d in range(t)]
+    path = tmp_path / "prices.csv"
+    path.write_text("".join(
+        [",".join(["Date", *labels]) + "\n"]
+        + [",".join([day.isoformat(), *map(repr, prices[:, j].tolist())])
+           + "\n" for j, day in enumerate(dates)]), encoding="utf-8")
+    extra = [] if days is None else ["--annualization-days", str(days)]
+    code = cli.main(["backtest", "--prices", str(path), "--window-days",
+                     str(m + 3), "--rebalance-days", "2", *extra,
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    jumps = np.argwhere((prices.T[:-1] == 1e-200) & (prices.T[1:] == 1e200))
+    if days is not None and days > 10**308:
+        assert code == 1, err
+        assert err == "error: annualization_days is too large for a float\n"
+    elif jumps.size:
+        assert code == 2, err
+        day, asset = jumps[0]
+        assert err.startswith(f"data error: {dates[day + 1]}, column "
+                              f"'A{asset}': return from price 1e-200 to "
+                              "1e+200 is not finite")
+    elif days == 10**308:  # a float holds it; the annualized return may not
+        assert code in (0, 3), err
+        assert code == 0 or "annualized return" in err
+    else:
+        assert code == 0, err
 
 
 def _finite(result) -> bool:

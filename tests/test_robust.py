@@ -198,11 +198,11 @@ def test_tyler_step_matches_the_lapack_inverse_sweep(m, k):
 
 def test_tyler_step_buffers_change_no_bit():
     returns = _noise_panel(20, 200, rho=0.8, nu=0.5, seed=3).returns
-    white, scaled = np.empty((20, 200)), np.empty((20, 200))
+    work = np.empty((20, 200))
     current = gen_toeplitz_scatter(20, 0.5)
     want = _tyler_step(returns, current)
     for _ in range(2):
-        got = _tyler_step(returns, current, white, scaled)
+        got = _tyler_step(returns, current, work)
         np.testing.assert_array_equal(got, want)
 
 
@@ -217,9 +217,8 @@ def test_tyler_step_from_sums_of_squares_is_bit_identical(k):
         want = _tyler_step(panel, np.eye(20))
         np.testing.assert_array_equal(
             _tyler_step(panel, np.eye(20), quad=squares), want)
-        white, scaled = np.empty((20, 200)), np.empty((20, 200))
         np.testing.assert_array_equal(
-            _tyler_step(panel, np.eye(20), white, scaled, squares), want)
+            _tyler_step(panel, np.eye(20), np.empty((20, 200)), squares), want)
 
 
 @pytest.mark.parametrize("k", [0, 3])
@@ -537,8 +536,8 @@ def test_sweep_update_and_scm_are_exactly_symmetric(m, n, layout, from_eye,
     root = rng.standard_normal((m, m))
     current = np.eye(m) if from_eye else root @ root.T + m * np.eye(m)
     quad = np.einsum("ij,ij->j", panel, panel) if from_eye else None
-    work = (np.empty((m, n)), np.empty((m, n))) if buffers else (None, None)
-    update = _tyler_step(panel, current, *work, quad)
+    work = np.empty((m, n)) if buffers else None
+    update = _tyler_step(panel, current, work, quad)
     assert np.array_equal(update, update.T)
     # one demeaned observation is all zero, which scm refuses
     for demean in (False, True) if n > 1 else (False,):
