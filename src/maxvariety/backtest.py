@@ -221,8 +221,9 @@ def run_backtest(panel: PricePanel,
     """Run the rolling estimate-allocate-hold loop over a price panel.
 
     A package error raised by the estimator or the optimizer propagates as
-    its own class, its message prefixed with ``rebalance <date>:``.  Wealth
-    that hits zero or overflows raises NumericalError.
+    its own class, its message prefixed with ``rebalance <date>:``.  Wealth,
+    the portfolio's or the benchmark's, that hits zero or overflows raises
+    NumericalError.
     """
     cfg = config or BacktestConfig()
     panel, benchmark_prices = _split_benchmark(panel, cfg.benchmark)
@@ -285,8 +286,10 @@ def run_backtest(panel: PricePanel,
     benchmark_summary = None
     if benchmark_prices is not None:
         track = benchmark_prices[span]
-        # divide first so the path starts at exactly 100.0
-        benchmark_wealth = 100.0 * (track / track[0])
+        # divide first so the path starts at exactly 100.0; wealth that
+        # overflows or hits zero is refused by perf_stats
+        with np.errstate(over="ignore"):
+            benchmark_wealth = 100.0 * (track / track[0])
         benchmark_summary = perf_stats(benchmark_wealth,
                                        cfg.annualization_days)
 

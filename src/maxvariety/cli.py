@@ -217,8 +217,7 @@ def cmd_clean(args) -> None:
                 lambda tmp: save_eigenvalue_histogram(
                     report.spectrum.eigenvalues, tmp))
     print(f"k_hat={report.k_hat} lambda_bar={report.lambda_bar:.6f} "
-          f"threshold={report.threshold:.6f} c={report.ratio_c:.4f} "
-          f"({len(report.warnings)} warning(s))")
+          f"threshold={report.threshold:.6f} c={report.ratio_c:.4f}")
 
 
 def cmd_allocate(args) -> None:
@@ -393,8 +392,6 @@ def _add_clean_flags(sub) -> None:
     sub.add_argument("--tol", type=float, help="fixed-point tolerance")
     sub.add_argument("--max-iter", type=int, dest="max_iter",
                      help="fixed-point iteration cap")
-    sub.add_argument("--eigen-floor", type=float, dest="eigen_floor",
-                     help="relative eigenvalue floor before inversion")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,10 +2,10 @@
 
 The pipeline: estimate a robust scatter, rectify it toward the Toeplitz
 structure of the noise, whiten the panel with the inverse Cholesky factor of
-the rectified estimate (its inverse square root when an eigenvalue must be
-floored), and re-estimate.  The estimator is affine equivariant, so the
-re-estimate starts at the whitened first estimate, its fixed point, and one
-sweep certifies it.
+the rectified estimate, and re-estimate.  A rectified estimate too close to
+singular for a certified Cholesky factor is refused, never floored.  The
+estimator is affine equivariant, so the re-estimate starts at the whitened
+first estimate, its fixed point, and one sweep certifies it.
 The whitened noise spectrum then follows the classic
 random-matrix bulk law with upper edge ``(1 + sqrt(m/N))**2``.  That edge is
 only the centre of the Tracy-Widom law of the largest noise eigenvalue, so
@@ -19,22 +19,28 @@ and rescaled to the panel's sample variances.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DegenerateDataError, DegenerateSpectrumError,
                      InsufficientSamplesError, ParameterError)
 from .panels import _float_cells, _write_csv
-from .robust import (ScatterMatrix, TylerConfig, demean_rows, inv_sqrt,
-                     toeplitzify, tyler, _check_panel, _check_squares,
-                     _square, _tri_inv)
+from .robust import (ScatterMatrix, TylerConfig, demean_rows, toeplitzify,
+                     tyler, _check_panel, _check_squares, _square, _tri_inv)
+# ``inv_sqrt`` is unused here but stays bound: the benchmark's trace hooks
+# ``maxvariety.denoise.inv_sqrt`` and its tests require every hook target
+# to exist.
+from .robust import inv_sqrt  # noqa: F401
 
 # False-alarm level of the order test and the matching upper quantile of
 # the Tracy-Widom law TW1, i.e. P(TW1 > TW1_QUANTILE) = ORDER_ALPHA.
 ORDER_ALPHA = 0.01
 TW1_QUANTILE = 2.0234
+
+# The rectified noise scatter whitens only when ``S - _CERTIFICATE * I``,
+# on trace m, has a Cholesky factor too.
+_CERTIFICATE = 1e-10
 
 
 @dataclass
@@ -141,12 +147,6 @@ class CleanConfig:
 
     tyler: TylerConfig = TylerConfig()
     demean: bool = True
-    eigen_floor: float = 1e-10
-
-    def __post_init__(self):
-        if not 0.0 <= self.eigen_floor < math.inf:
-            raise ParameterError(
-                f"eigen_floor must be >= 0 and finite, got {self.eigen_floor}")
 
 
 @dataclass
@@ -155,7 +155,8 @@ class CleaningReport:
 
     ``robust_scatter`` is the first Tyler pass on the (demeaned) panel, with
     the pass's sweep count and final residual.  It is kept for callers that
-    need the raw robust estimate and stays out of ``to_dict``.
+    need the raw robust estimate and stays out of ``to_dict``, whose
+    ``warnings`` list is always empty: nothing is floored.
     """
 
     k_hat: int
@@ -166,7 +167,6 @@ class CleaningReport:
     clipped_spectrum: np.ndarray
     denoised: np.ndarray
     robust_scatter: ScatterMatrix
-    warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -176,27 +176,30 @@ class CleaningReport:
             "ratio_c": self.ratio_c,
             "eigenvalues": [float(v) for v in self.spectrum.eigenvalues],
             "clipped_eigenvalues": [float(v) for v in self.clipped_spectrum],
-            "warnings": list(self.warnings),
+            "warnings": [],
         }
 
 
-def _noise_factor(noise: np.ndarray, eigen_floor: float) -> np.ndarray | None:
-    """Cholesky factor ``L`` of the trace-m noise scatter ``S = L L'``, or
-    None when ``inv_sqrt`` might floor one of its eigenvalues.
+def _noise_factor(noise: np.ndarray) -> np.ndarray:
+    """Cholesky factor ``L`` of the trace-m noise scatter ``S = L L'``.
 
-    A Cholesky factor of ``S - eigen_floor * I`` certifies that every
-    eigenvalue of ``S`` lies above the floor, ``eigen_floor`` times their
-    mean of 1.  The biased ``toeplitzify`` is linear, keeps a PSD matrix
+    A Cholesky factor of ``S - _CERTIFICATE * I`` certifies that every
+    eigenvalue of ``S`` lies above ``_CERTIFICATE`` times their mean of 1;
+    without one, DegenerateDataError names the smallest eigenvalue relative
+    to the mean.  The biased ``toeplitzify`` is linear, keeps a PSD matrix
     PSD and maps I to I, so it never lowers the smallest eigenvalue: ``S``
-    has one below the floor only if the first-pass estimate itself (also
-    on trace m) has one below ``eigen_floor`` times its mean, and only then
-    is None returned.
+    fails only if the first-pass estimate itself (also on trace m) has an
+    eigenvalue below ``_CERTIFICATE`` times its mean.
     """
     try:
-        np.linalg.cholesky(noise - eigen_floor * np.eye(noise.shape[0]))
+        np.linalg.cholesky(noise - _CERTIFICATE * np.eye(noise.shape[0]))
         return np.linalg.cholesky(noise)
     except np.linalg.LinAlgError:
-        return None
+        eigvals = np.linalg.eigvalsh(noise)
+        raise DegenerateDataError(
+            f"the noise scatter is too ill-conditioned to whiten: its "
+            f"smallest eigenvalue is {eigvals[0] / eigvals.mean():.3e} of "
+            f"their mean, not above {_CERTIFICATE:.0e}") from None
 
 
 def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport:
@@ -210,23 +213,18 @@ def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport
     ``select_order(report.spectrum, report.lambda_bar)``.
 
     ``S``, the rectified noise scatter on trace m, whitens through its
-    Cholesky factor ``S = L L'`` whenever ``S - eigen_floor * I`` has one
-    too, which certifies that no eigenvalue would be floored: ``W`` is
-    ``L^{-1}`` and the cleaned whitened scatter is coloured back by ``L``.
-    ``L^{-1}`` is ``S^{-1/2}`` up to a rotation, which the affine-equivariant
-    second pass carries through and the colour undoes, so ``S`` is never
-    eigendecomposed.  Otherwise ``W = inv_sqrt(S)``, with its floor and
-    warning, and the colour is ``S W``, ``S^{1/2}`` to rounding; where
-    ``inv_sqrt`` floors an eigenvalue ``lambda`` of ``S`` to ``f``, the
-    colour takes ``lambda / sqrt(f)`` along its eigenvector instead of
-    ``sqrt(lambda)``, and the result is still a congruence of a PSD matrix.
+    Cholesky factor ``S = L L'``: ``W`` is ``L^{-1}`` and the cleaned
+    whitened scatter is coloured back by ``L``.  ``L^{-1}`` is ``S^{-1/2}``
+    up to a rotation, which the affine-equivariant second pass carries
+    through and the colour undoes, so ``S`` is never eigendecomposed.
     The second Tyler pass starts at ``W C1 W'`` (``C1`` the first pass),
     where affine equivariance puts its fixed point; its one sweep and its
     tolerance test certify that start on the whitened data.
 
     An asset whose sum of squared deviations overflows raises
-    DegenerateDataError naming it.  Estimation errors propagate;
-    eigenvalue flooring is collected into the report's warnings.
+    DegenerateDataError naming it, as does an ``S`` whose eigenvalues are
+    not certified above ``1e-10`` times their mean, naming the smallest.
+    Estimation errors propagate.
     """
     cfg = config or CleanConfig()
     panel = _check_panel(panel)
@@ -244,28 +242,18 @@ def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport
         raise DegenerateDataError(
             f"asset {flat[0]} has zero sample variance over the window")
 
-    notes: list[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        robust_scatter = tyler(work, cfg.tyler)
-        noise_scatter = toeplitzify(robust_scatter.values)
-        noise_scatter *= m / np.trace(noise_scatter)
-        factor = _noise_factor(noise_scatter, cfg.eigen_floor)
-        if factor is None:
-            whitener = inv_sqrt(noise_scatter, cfg.eigen_floor)
-            # S W is S^{1/2} to rounding, so S is decomposed once
-            whitener_t, color = whitener, noise_scatter @ whitener
-        else:
-            whitener = _tri_inv(factor)
-            whitener_t, color = whitener.T, factor
-        whitened = whitener @ work
-        # Affine equivariance puts pass 2's fixed point at the whitened pass
-        # 1 estimate; one sweep from there certifies it.
-        start = whitener @ robust_scatter.values @ whitener_t
-        del work  # the demeaned copy is not needed once whitened
-        whitened_scatter = tyler(whitened, cfg.tyler,
-                                 start=0.5 * (start + start.T))
-    notes.extend(str(w.message) for w in caught)
+    robust_scatter = tyler(work, cfg.tyler)
+    noise_scatter = toeplitzify(robust_scatter.values)
+    noise_scatter *= m / np.trace(noise_scatter)
+    color = _noise_factor(noise_scatter)
+    whitener = _tri_inv(color)
+    whitened = whitener @ work
+    # Affine equivariance puts pass 2's fixed point at the whitened pass 1
+    # estimate; one sweep from there certifies it.
+    start = whitener @ robust_scatter.values @ whitener.T
+    del work  # the demeaned copy is not needed once whitened
+    whitened_scatter = tyler(whitened, cfg.tyler,
+                             start=0.5 * (start + start.T))
 
     spectrum = eigen_spectrum(whitened_scatter.values)
     ratio_c = m / n
@@ -283,8 +271,7 @@ def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport
     return CleaningReport(k_hat=k_hat, lambda_bar=lambda_bar,
                           threshold=threshold, ratio_c=ratio_c,
                           spectrum=spectrum, clipped_spectrum=clipped,
-                          denoised=denoised, robust_scatter=robust_scatter,
-                          warnings=notes)
+                          denoised=denoised, robust_scatter=robust_scatter)
 
 
 def save_eigenvalue_histogram(eigenvalues, path) -> None:

@@ -20,6 +20,10 @@ from .errors import ParameterError
 from .panels import ReturnsPanel
 from .robust import _sym_sqrt
 
+# numpy sizes an array in bytes by a signed intp: a float array with more
+# entries than this cannot be described, let alone allocated
+_MAX_ENTRIES = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
 
 @dataclass(frozen=True)
 class FactorModelSpec:
@@ -44,6 +48,10 @@ class FactorModelSpec:
             raise ParameterError(f"m must be >= 1, got {self.m}")
         if self.N < 1:
             raise ParameterError(f"N must be >= 1, got {self.N}")
+        if self.m * max(self.m, self.N) > _MAX_ENTRIES:
+            raise ParameterError(
+                f"m={self.m}, N={self.N} is too large: the m x m scatter or "
+                f"m x N panel would pass numpy's array size limit")
         if self.K < 0:
             raise ParameterError(f"K must be >= 0, got {self.K}")
         if self.K >= self.m:

@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 
-from maxvariety import (ConvergenceError, CovarianceInput, DegenerateDataError,
-                        ParameterError, WeightVector)
+from maxvariety import (CleanConfig, CleaningReport, ConvergenceError,
+                        CovarianceInput, DegenerateDataError, ParameterError,
+                        WeightVector, clip_spectrum, demean_rows,
+                        eigen_spectrum, inv_sqrt, mp_upper_bound,
+                        order_threshold, select_order, toeplitzify, tyler)
 from maxvariety.allocation import _face_minimizer
 
 
@@ -159,3 +162,33 @@ def active_set_from_full_support(corr: np.ndarray) -> tuple[np.ndarray, int]:
         free[entering[0]] = True
     raise ConvergenceError(
         f"active-set solve did not settle within {cap} steps", iterate=z)
+
+
+def symmetric_clean(panel: np.ndarray, config: CleanConfig) -> CleaningReport:
+    """``clean_covariance`` with the symmetric whitener: the rectified noise
+    scatter ``S`` (on trace m) whitens by ``W = inv_sqrt(S)``, and the
+    cleaned whitened scatter is coloured back by ``S W``, ``S^{1/2}`` to
+    rounding.  ``S`` is eigendecomposed, which the package never does."""
+    m, n = panel.shape
+    work = demean_rows(panel) if config.demean else panel
+    robust_scatter = tyler(work, config.tyler)
+    noise = toeplitzify(robust_scatter.values)
+    noise *= m / np.trace(noise)
+    whitener = inv_sqrt(noise)
+    start = whitener @ robust_scatter.values @ whitener
+    white = tyler(whitener @ work, config.tyler,
+                  start=0.5 * (start + start.T))
+    spectrum = eigen_spectrum(white.values)
+    threshold = order_threshold(m, n)
+    k_hat = select_order(spectrum, threshold)
+    clipped = clip_spectrum(spectrum.eigenvalues, k_hat)
+    color = noise @ whitener
+    shape = (color @ ((spectrum.eigenvectors * clipped)
+                      @ spectrum.eigenvectors.T) @ color.T)
+    scale = np.sqrt(np.var(panel, axis=1, ddof=1) / np.diag(shape))
+    denoised = shape * np.outer(scale, scale)
+    return CleaningReport(k_hat=k_hat, lambda_bar=mp_upper_bound(m / n),
+                          threshold=threshold, ratio_c=m / n,
+                          spectrum=spectrum, clipped_spectrum=clipped,
+                          denoised=0.5 * (denoised + denoised.T),
+                          robust_scatter=robust_scatter)

@@ -390,6 +390,19 @@ def test_run_backtest_benchmark_tracked_not_allocated():
     assert "summary" in payload["benchmark"]
 
 
+def test_run_backtest_refuses_benchmark_wealth_that_overflows():
+    # from the first decision date the benchmark rises from 1e-200 to
+    # 1e200, so its wealth overflows; refused before numpy warns (the test
+    # configuration makes a warning an error)
+    panel = _synthetic_prices(4, 12, seed=50)
+    prices = panel.prices.copy()
+    prices[3, 4:] = np.geomspace(1e-200, 1e200, 8)
+    panel = PricePanel(dates=panel.dates, prices=prices, labels=panel.labels)
+    cfg = _small_config(window_days=4, rebalance_days=1, benchmark="A003")
+    with pytest.raises(NumericalError, match="wealth series is not finite"):
+        run_backtest(panel, cfg)
+
+
 def test_run_backtest_unknown_benchmark_rejected():
     panel = _synthetic_prices(3, 80, seed=49)
     with pytest.raises(ParameterError, match="benchmark"):

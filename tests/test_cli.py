@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import datetime
@@ -16,6 +17,7 @@ from maxvariety import (BacktestConfig, CleanConfig, FactorModelSpec,
                         order_threshold, run_backtest, tyler)
 from maxvariety.backtest import ESTIMATORS
 import maxvariety.cli as cli
+import maxvariety.denoise as denoise
 import maxvariety.errors as errors
 from maxvariety.cli import main
 
@@ -81,6 +83,23 @@ def test_synth_rejects_invalid_spec(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: seed must be >= 0")
 
 
+@pytest.mark.parametrize("command", ["synth", "mc-order"])
+@pytest.mark.parametrize(("m", "n"), [(10**20, 10), (2, 10**19)],
+                         ids=["m-past-numpy", "N-past-numpy"])
+def test_a_size_numpy_cannot_describe_is_refused(tmp_path, capsys, command,
+                                                 m, n):
+    # refused by the spec, before any array is made
+    argv = [command, "--m", str(m), "--N", str(n),
+            "--out", str(tmp_path / "out")]
+    if command == "mc-order":
+        argv += ["--trials", "1"]
+    assert _run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: m={m}, N={n} is too large")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_requires_m_and_n(tmp_path, capsys):
     code = _run("synth", "--out", str(tmp_path))
     assert code == 1
@@ -102,7 +121,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     for payload, key in (({"synth": {"m": 5, "N": 25, "bogus": 1}}, "bogus"),
                          ({"optimizer": {"n_starts": 4}}, "n_starts"),
                          ({"clean": {"clip_rule": "literal"}}, "clip_rule"),
-                         ({"tyler": {"eigen_floor": 1e-10}}, "eigen_floor")):
+                         ({"tyler": {"eigen_floor": 1e-10}}, "eigen_floor"),
+                         ({"clean": {"eigen_floor": 1e-10}}, "eigen_floor")):
         cfg.write_text(json.dumps(payload))
         code = _run("synth", "--config", str(cfg), "--out", str(tmp_path))
         assert code == 1
@@ -115,7 +135,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ("mc_order", "trials", True),
     ("tyler", "max_iter", "10"),
     ("tyler", "tol", None),
-    ("clean", "eigen_floor", None),
+    ("clean", "demean", None),
     ("clean", "demean", 1),
     ("synth", "seed", 1.0),
     ("optimizer", "kkt_tol", False),
@@ -142,7 +162,8 @@ def test_config_values_of_the_field_type_are_accepted(tmp_path):
     cfg.write_text(json.dumps({
         "synth": {"m": 4, "N": 20, "rho": 0},
         "optimizer": {"kkt_tol": 1},
-        "clean": {"demean": False, "eigen_floor": 0},
+        "tyler": {"tol": 1},
+        "clean": {"demean": False},
         "backtest": {"benchmark": None, "estimator": "scm"},
         "mc_order": {"trials": 1}}))
     assert _run("synth", "--config", str(cfg), "--out", str(tmp_path)) == 0
@@ -184,10 +205,8 @@ _FLAG_OVER_FILE = {
               lambda a: dataclasses.asdict(a[1].tyler),
               {"max_iter": 7, "tol": 1e-6}, ["--tol", "1e-7"], {"tol": 1e-7}),
     "clean": ("clean", "clean_covariance",
-              lambda a: {"demean": a[1].demean,
-                         "eigen_floor": a[1].eigen_floor},
-              {"demean": False, "eigen_floor": 0.25}, ["--demean"],
-              {"demean": True}),
+              lambda a: {"demean": a[1].demean}, {"demean": False},
+              ["--demean"], {"demean": True}),
     "backtest": ("backtest", "run_backtest", lambda a: vars(a[1]),
                  {"window_days": 30, "rebalance_days": 5,
                   "annualization_days": 250, "estimator": "scm"},
@@ -239,13 +258,13 @@ def test_mc_order_trials_flag_beats_the_config_key(tmp_path):
     ("synth", ["--factor-snr", "inf"], None),
     ("synth", ["--nu", "inf"], None),
     ("synth", [], {"synth": {"nu": float("inf")}}),
-    ("clean", ["--eigen-floor", "nan"], None),
-    ("clean", ["--eigen-floor", "inf"], None),
+    ("clean", ["--tol", "nan"], None),
     ("clean", ["--tol", "inf"], None),
+    ("clean", [], {"tyler": {"tol": float("inf")}}),
     ("allocate", [], {"optimizer": {"kkt_tol": float("inf")}}),
 ], ids=["synth-snr-nan", "synth-snr-inf", "synth-nu-inf",
-        "synth-config-nu-inf", "clean-floor-nan", "clean-floor-inf",
-        "clean-tol-inf", "allocate-config-kkt-tol-inf"])
+        "synth-config-nu-inf", "clean-tol-nan", "clean-tol-inf",
+        "clean-config-tol-inf", "allocate-config-kkt-tol-inf"])
 def test_non_finite_setting_is_rejected_before_anything_is_written(
         tmp_path, capsys, command, flags, config):
     argv = [command, *flags]
@@ -306,6 +325,24 @@ def test_clean_full_pipeline_outputs(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "k_hat=2" in printed
     assert f"threshold={report['threshold']:.6f}" in printed
+
+
+def test_clean_refuses_a_noise_scatter_it_cannot_whiten(tmp_path, capsys,
+                                                        monkeypatch):
+    # no panel was found whose rectified noise scatter fails the Cholesky
+    # certificate (rectification never lowers the first pass's smallest
+    # eigenvalue, and Tyler refuses first), so a rectification with a zero
+    # eigenvalue stands in for one
+    returns = _synth_returns(tmp_path, m=4, N=30, seed=1)
+    monkeypatch.setattr(denoise, "toeplitzify",
+                        lambda matrix: np.diag([1.0, 1.0, 1.0, 0.0]))
+    out = tmp_path / "out"
+    assert _run("clean", "--input", str(returns), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: the noise scatter is too "
+                          "ill-conditioned to whiten: its smallest "
+                          "eigenvalue is 0.000e+00 of their mean")
+    assert not (out / "report.json").exists()
 
 
 def test_clean_rejects_short_panel(tmp_path, capsys):
@@ -748,6 +785,19 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_missing_required_flag_is_usage_error(capsys):
     assert _run("clean") == 1
     assert "--input" in capsys.readouterr().err
+
+
+def test_every_settings_flag_names_a_config_key():
+    # ``_settings`` reads only the flags named by config keys, so any other
+    # flag would be accepted and do nothing
+    keys = {key for section in cli._SECTION_KEYS.values() for key in section}
+    own = {"config", "out", "input", "prices", "compare", "missing_policy",
+           "command", "help"}
+    (subs,) = [action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction)]
+    for name, sub in subs.choices.items():
+        stray = {action.dest for action in sub._actions} - keys - own
+        assert not stray, f"{name}: {sorted(stray)}"
 
 
 def test_main_builds_one_parser_and_dispatches_by_name(tmp_path,

@@ -14,7 +14,8 @@ from maxvariety import (CleanConfig, CleaningReport, DegenerateDataError,
                         ParameterError, clean_covariance, clip_spectrum,
                         eigen_spectrum, gen_panel, mp_upper_bound,
                         order_threshold, save_eigenvalue_histogram, scm,
-                        select_order, tyler)
+                        select_order, toeplitzify, tyler)
+from oracles import symmetric_clean
 
 
 # ---------------------------------------------------------------- bounds
@@ -153,12 +154,6 @@ def test_clip_spectrum_degenerate_remainder():
 # ---------------------------------------------------------------- pipeline
 
 
-def test_clean_config_rejects_a_negative_or_non_finite_floor():
-    for bad in (-1e-10, float("inf"), float("nan")):
-        with pytest.raises(ParameterError):
-            CleanConfig(eigen_floor=bad)
-
-
 def _factor_spec(seed, K=3):
     return FactorModelSpec(m=100, N=1000, K=K, rho=0.8, nu=0.5,
                            factor_snr=10.0, seed=seed)
@@ -215,49 +210,50 @@ def test_clean_covariance_beats_raw_counting():
     assert report.k_hat <= 1
 
 
-def _decompositions(monkeypatch, floor):
-    # the shapes of the matrices eigendecomposed by one clean, and where
-    # inv_sqrt was called
+def _decompositions(monkeypatch, certificate):
+    # the 30 x 30 matrices one clean decomposes, by kind, with the noise
+    # scatter certified above ``certificate`` times its mean eigenvalue;
+    # "refused" marks a clean that refused the noise scatter
     panel = gen_panel(FactorModelSpec(m=30, N=300, K=2, rho=0.6, nu=0.5,
                                       factor_snr=8.0, seed=4)).returns
     calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda a: calls.append(a.shape) or eigh(a))
-    inv_sqrt = denoise.inv_sqrt
-    monkeypatch.setattr(denoise, "inv_sqrt",
-                        lambda *args: calls.append("inv_sqrt")
-                        or inv_sqrt(*args))
-    clean_covariance(panel, CleanConfig(demean=False, eigen_floor=floor))
+    for name in ("eigh", "eigvalsh"):
+        decompose = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name,
+            lambda a, name=name, decompose=decompose:
+            a.shape == (30, 30) and calls.append(name) or decompose(a))
+    monkeypatch.setattr(denoise, "_CERTIFICATE", certificate)
+    try:
+        clean_covariance(panel, CleanConfig(demean=False))
+    except DegenerateDataError:
+        calls.append("refused")
     return calls
 
 
 def test_clean_covariance_decomposes_two_matrices(monkeypatch):
-    # no floor bites: a Cholesky factor of the noise scatter whitens and
-    # colours, and only the whitened scatter is eigendecomposed
-    assert _decompositions(monkeypatch, 1e-10) == [(30, 30)]
+    # the certificate holds: a Cholesky factor of the noise scatter whitens
+    # and colours, and only the whitened scatter is eigendecomposed
+    assert _decompositions(monkeypatch, 1e-10) == ["eigh"]
 
 
 def test_clean_covariance_with_a_floor_decomposes_the_noise_scatter(
         monkeypatch):
-    # the rho=0.6 noise scatter has eigenvalues below half their mean:
-    # inv_sqrt floors them, and the colour reuses its whitener
-    assert _decompositions(monkeypatch, 0.5) == ["inv_sqrt", (30, 30),
-                                                 (30, 30)]
+    # the rho=0.6 noise scatter has eigenvalues below half their mean, so a
+    # certificate at half the mean fails; the refusal decomposes the noise
+    # scatter once, to name its smallest eigenvalue, and whitens nothing
+    assert _decompositions(monkeypatch, 0.5) == ["eigvalsh", "refused"]
 
 
 @pytest.mark.parametrize("k", [0, 3])
-def test_cholesky_whitener_matches_the_symmetric_one(monkeypatch, k):
+def test_cholesky_whitener_matches_the_symmetric_one(k):
     # L^{-1} is S^{-1/2} up to a rotation, which the second pass carries
-    # through and the colour L undoes; the reference run is made to take
-    # the eigendecomposition path
+    # through and the colour L undoes
     panel = gen_panel(_factor_spec(K=k, seed=10_001)).returns
     cfg = CleanConfig(demean=False)
     got = clean_covariance(panel, cfg)
-    monkeypatch.setattr(denoise, "_noise_factor", lambda *args: None)
-    want = clean_covariance(panel, cfg)
+    want = symmetric_clean(panel, cfg)
     assert got.k_hat == want.k_hat == k
-    assert not got.warnings and not want.warnings
     np.testing.assert_allclose(got.spectrum.eigenvalues,
                                want.spectrum.eigenvalues, rtol=1e-9)
     np.testing.assert_allclose(got.clipped_spectrum, want.clipped_spectrum,
@@ -266,21 +262,42 @@ def test_cholesky_whitener_matches_the_symmetric_one(monkeypatch, k):
                                atol=1e-11 * np.abs(want.denoised).max())
 
 
-def test_clean_covariance_with_a_floored_noise_eigenvalue():
-    # a floor at half the mean eigenvalue raises the small eigenvalues of
-    # the rho=0.8 noise scatter; the colour then departs from S^{1/2} along
-    # them, and the result must still be a covariance with the sample
-    # variances on its diagonal
+def test_clean_covariance_with_a_floored_noise_eigenvalue(monkeypatch):
+    # the rho=0.8 noise scatter has eigenvalues below half their mean; at
+    # the certificate they are whitened as they are, and the result is a
+    # covariance with the sample variances on its diagonal
     panel = gen_panel(FactorModelSpec(m=20, N=300, K=1, rho=0.8, nu=0.5,
                                       factor_snr=6.0, seed=8)).returns
-    report = clean_covariance(panel, CleanConfig(demean=False,
-                                                 eigen_floor=0.5))
-    assert any("floored" in note for note in report.warnings)
+    noise = toeplitzify(tyler(panel).values)
+    noise *= 20 / np.trace(noise)
+    eigvals = np.linalg.eigvalsh(noise)
+    assert eigvals[0] < 0.5 * eigvals.mean()
+    report = clean_covariance(panel, CleanConfig(demean=False))
+    assert report.to_dict()["warnings"] == []
     sigma = report.denoised
     np.testing.assert_array_equal(sigma, sigma.T)
     assert np.linalg.eigvalsh(sigma).min() > 0.0
     np.testing.assert_allclose(np.diag(sigma),
                                np.var(panel, axis=1, ddof=1), rtol=1e-12)
+    # a certificate at half the mean fails, and the refusal names the
+    # smallest eigenvalue relative to the mean
+    monkeypatch.setattr(denoise, "_CERTIFICATE", 0.5)
+    with pytest.raises(DegenerateDataError,
+                       match=f"{eigvals[0] / eigvals.mean():.3e} of their"):
+        clean_covariance(panel, CleanConfig(demean=False))
+
+
+def test_clean_covariance_whitens_a_first_pass_below_the_certificate():
+    # two near-duplicate assets put the first-pass estimate's smallest
+    # eigenvalue below 1e-10 of the mean, but rectification never lowers
+    # it and here lifts it far above the certificate
+    rng = np.random.default_rng(0)
+    panel = rng.standard_normal((40, 252))
+    panel[1] = panel[0] + 1e-5 * rng.standard_normal(252)
+    report = clean_covariance(panel, CleanConfig(demean=False))
+    first = np.linalg.eigvalsh(report.robust_scatter.values)
+    assert first[0] < 1e-10 * first.mean()
+    assert np.linalg.eigvalsh(report.denoised).min() > 0.0
 
 
 @pytest.mark.parametrize("k", [0, 3])
