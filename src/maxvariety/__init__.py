@@ -19,10 +19,10 @@ from .denoise import (CleanConfig, CleaningReport, EigenSpectrum,
                       mp_upper_bound, order_threshold,
                       save_eigenvalue_histogram, select_order)
 from .errors import (ConvergenceError, DegenerateDataError,
-                     DegenerateSpectrumError, EigenvalueFloorWarning,
-                     IngestionError, InsufficientSamplesError,
-                     MaxVarietyError, NumericalError, ParameterError,
-                     SingularMatrixError, UsageError)
+                     DegenerateSpectrumError, IngestionError,
+                     InsufficientSamplesError, MaxVarietyError,
+                     NumericalError, ParameterError, SingularMatrixError,
+                     UsageError)
 from .market_model import (FactorModelSpec, SyntheticPanel, gen_panel,
                            gen_sphere_vector, gen_texture,
                            gen_toeplitz_scatter)

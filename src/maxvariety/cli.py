@@ -6,10 +6,13 @@ maximum-variety weights), ``backtest`` (rolling backtest over a price CSV),
 and ``mc-order`` (Monte Carlo tally of selected model orders).
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data/ingestion
-error, 3 numerical failure.  An ``--out`` that is, or lies below, an
-existing file is refused before any input is read.  Every output file is
-written to a temporary name and renamed into place, so partial outputs are
-never left behind.
+error, 3 numerical failure; each ``errors`` class carries its code and the
+stderr label ``main`` prints.  Every settings flag is a config key: the
+``_SECTIONS`` table names the dataclass behind each config section, and
+its fields give the section's keys, their flags and the nested sections.
+An ``--out`` that is, or lies below, an existing file is refused before any
+input is read.  Every output file is written to a temporary name and
+renamed into place, so partial outputs are never left behind.
 Identical inputs give byte-identical outputs; ``synth`` and ``mc-order``,
 the only subcommands that draw random numbers, take them from ``--seed``.
 
@@ -36,8 +39,7 @@ from .allocation import OptimizerConfig, optimize_variety
 from .backtest import ESTIMATORS, BacktestConfig, BacktestResult, run_backtest
 from .denoise import (CleanConfig, clean_covariance, mp_upper_bound,
                       save_eigenvalue_histogram, select_order)
-from .errors import (IngestionError, MaxVarietyError, NumericalError,
-                     ParameterError, UsageError)
+from .errors import MaxVarietyError, UsageError
 from .market_model import FactorModelSpec, gen_panel
 from .panels import (MISSING_POLICIES, _float_cells, _write_csv, load_prices,
                      load_returns_csv, save_returns_csv)
@@ -45,29 +47,30 @@ from .panels import (MISSING_POLICIES, _float_cells, _write_csv, load_prices,
 # ``maxvariety.cli.tyler`` and its tests require every hook target to exist.
 from .robust import TylerConfig, scm, tyler  # noqa: F401
 
-# The JSON value types each field annotation accepts.  json.loads gives
-# exact built-in types, so matching the type exactly keeps true and false
-# (bool is a subclass of int) out of the numeric fields.
-_JSON_TYPES = {"int": ((int,), "an integer"),
-               "float": ((int, float), "a number"),
-               "bool": ((bool,), "true or false"),
-               "str": ((str,), "a string"),
-               "str | None": ((str, type(None)), "a string or null")}
+# Per field annotation: the JSON value types it accepts, their description,
+# and the argparse keywords of its flag.  json.loads gives exact built-in
+# types, so matching the type exactly keeps true and false (bool is a
+# subclass of int) out of the numeric fields.
+_JSON_TYPES = {
+    "int": ((int,), "an integer", {"type": int}),
+    "float": ((int, float), "a number", {"type": float}),
+    "bool": ((bool,), "true or false",
+             {"action": argparse.BooleanOptionalAction}),
+    "str": ((str,), "a string", {"type": str}),
+    "str | None": ((str, type(None)), "a string or null", {"type": str}),
+}
 
+# The dataclass behind each config section.  A field named after a section
+# is that section, nested.
+_SECTIONS = {"synth": FactorModelSpec, "tyler": TylerConfig,
+             "clean": CleanConfig, "optimizer": OptimizerConfig,
+             "backtest": BacktestConfig}
 
-def _field_types(cls, nested=()) -> dict[str, str]:
-    return {f.name: f.type for f in dataclasses.fields(cls)
-            if f.name not in nested}
-
-
-# Each config section's keys and their annotated types; a nested config is
-# a section of its own.
+# Each config section's keys and their annotated types.
 _SECTION_KEYS = {
-    "synth": _field_types(FactorModelSpec),
-    "tyler": _field_types(TylerConfig),
-    "clean": _field_types(CleanConfig, nested=("tyler",)),
-    "optimizer": _field_types(OptimizerConfig),
-    "backtest": _field_types(BacktestConfig, nested=("clean", "optimizer")),
+    **{section: {f.name: f.type for f in dataclasses.fields(cls)
+                 if f.name not in _SECTIONS}
+       for section, cls in _SECTIONS.items()},
     "mc_order": {"trials": "int"},
 }
 
@@ -84,6 +87,8 @@ def _load_config(path) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise UsageError(f"config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     for section, payload in data.items():
@@ -99,11 +104,19 @@ def _load_config(path) -> dict:
                 raise UsageError(
                     f"config file {path}: unknown key {key!r} "
                     f"in section {section!r}")
-            accepted, expected = _JSON_TYPES[types[key]]
+            accepted, expected, _ = _JSON_TYPES[types[key]]
             if type(value) not in accepted:
                 raise UsageError(
                     f"config file {path}: key {key!r} in section "
                     f"{section!r} must be {expected}, got {value!r}")
+            # an integer is kept as written, but must fit a float
+            if types[key] == "float":
+                try:
+                    float(value)
+                except OverflowError:
+                    raise UsageError(
+                        f"config file {path}: key {key!r} in section "
+                        f"{section!r} is past the float range") from None
     return data
 
 
@@ -167,9 +180,12 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _clean_config(config: dict, args) -> CleanConfig:
-    return CleanConfig(tyler=TylerConfig(**_settings(config, "tyler", args)),
-                       **_settings(config, "clean", args))
+def _build(section: str, config: dict, args):
+    """The dataclass of ``section``, built after its nested sections."""
+    cls = _SECTIONS[section]
+    nested = {f.name: _build(f.name, config, args)
+              for f in dataclasses.fields(cls) if f.name in _SECTIONS}
+    return cls(**nested, **_settings(config, section, args))
 
 
 def _model_spec(config: dict, args) -> FactorModelSpec:
@@ -205,7 +221,7 @@ def cmd_synth(args) -> None:
 def cmd_clean(args) -> None:
     """Clean a returns CSV; write report.json and spectrum files."""
     config = _load_config(args.config)
-    clean_cfg = _clean_config(config, args)
+    clean_cfg = _build("clean", config, args)
     panel = load_returns_csv(args.input)
     report = clean_covariance(panel.values, clean_cfg)
     out = _out_dir(args)
@@ -223,8 +239,8 @@ def cmd_clean(args) -> None:
 def cmd_allocate(args) -> None:
     """Allocate from a returns CSV; write weights.csv and allocation.json."""
     config = _load_config(args.config)
-    opt_cfg = OptimizerConfig(**_settings(config, "optimizer", args))
-    clean_cfg = _clean_config(config, args)
+    opt_cfg = _build("optimizer", config, args)
+    clean_cfg = _build("clean", config, args)
     panel = load_returns_csv(args.input)
     k_hat = None
     if args.estimator == "rmt_tyler_whitened":
@@ -278,10 +294,7 @@ def _write_backtest_csvs(out: Path, results: dict[str, BacktestResult]) -> None:
 def cmd_backtest(args) -> None:
     """Backtest a price CSV; write result.json, weights, wealth, turnover."""
     config = _load_config(args.config)
-    base_cfg = BacktestConfig(
-        clean=_clean_config(config, args),
-        optimizer=OptimizerConfig(**_settings(config, "optimizer", args)),
-        **_settings(config, "backtest", args))
+    base_cfg = _build("backtest", config, args)
 
     panel = load_prices(args.prices, missing_policy=args.missing_policy)
     estimators = list(ESTIMATORS) if args.compare else [base_cfg.estimator]
@@ -339,7 +352,7 @@ def _order_counts(spec: FactorModelSpec, clean_cfg: CleanConfig) -> tuple[int, i
 def cmd_mc_order(args) -> None:
     """Tally selected model orders over seeded trials; write a CSV table."""
     config = _load_config(args.config)
-    clean_cfg = _clean_config(config, args)
+    clean_cfg = _build("clean", config, args)
     spec = _model_spec(config, args)
     trials = _settings(config, "mc_order", args).get("trials")
     if trials is None:
@@ -375,23 +388,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_synth_flags(sub) -> None:
-    sub.add_argument("--seed", type=int, help="RNG seed")
-    sub.add_argument("--m", type=int, help="asset count")
-    sub.add_argument("--N", type=int, help="observation count")
-    sub.add_argument("--K", type=int, help="true factor count")
-    sub.add_argument("--rho", type=float, help="noise scatter decay in [0,1)")
-    sub.add_argument("--nu", type=float, help="texture shape (tail weight)")
-    sub.add_argument("--factor-snr", type=float, dest="factor_snr",
-                     help="loading column norm")
-
-
-def _add_clean_flags(sub) -> None:
-    sub.add_argument("--demean", action=argparse.BooleanOptionalAction,
-                     default=None, help="subtract per-asset window means")
-    sub.add_argument("--tol", type=float, help="fixed-point tolerance")
-    sub.add_argument("--max-iter", type=int, dest="max_iter",
-                     help="fixed-point iteration cap")
+def _add_flags(sub, *sections) -> None:
+    """One flag per config key of ``sections``, typed by its annotation."""
+    for section in sections:
+        for key, kind in _SECTION_KEYS[section].items():
+            sub.add_argument("--" + key.replace("_", "-"),
+                             help=f"config key {section}.{key}",
+                             **_JSON_TYPES[kind][2])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,42 +408,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = subs.add_parser("synth", parents=[common],
                             help="draw a synthetic return panel")
-    _add_synth_flags(synth)
+    _add_flags(synth, "synth")
 
     clean = subs.add_parser("clean", parents=[common],
                             help="run the covariance cleaning pipeline")
     clean.add_argument("--input", required=True, help="returns CSV")
-    _add_clean_flags(clean)
+    _add_flags(clean, "tyler", "clean")
 
     allocate = subs.add_parser("allocate", parents=[common],
                                help="compute maximum-variety weights")
     allocate.add_argument("--input", required=True, help="returns CSV")
     allocate.add_argument("--estimator", choices=list(ESTIMATORS),
                           default="rmt_tyler_whitened")
-    _add_clean_flags(allocate)
+    _add_flags(allocate, "tyler", "clean")
 
     backtest = subs.add_parser("backtest", parents=[common],
                                help="rolling backtest over a price CSV")
     backtest.add_argument("--prices", required=True, help="price CSV")
-    backtest.add_argument("--estimator", choices=list(ESTIMATORS))
     backtest.add_argument("--compare", action="store_true",
                           help="run every estimator on one schedule")
-    backtest.add_argument("--window-days", type=int, dest="window_days")
-    backtest.add_argument("--rebalance-days", type=int, dest="rebalance_days")
-    backtest.add_argument("--annualization-days", type=int,
-                          dest="annualization_days")
-    backtest.add_argument("--missing-policy", dest="missing_policy",
-                          choices=MISSING_POLICIES, default="error")
-    backtest.add_argument("--benchmark",
-                          help="price column to report alongside the "
-                               "portfolio but never allocate")
-    _add_clean_flags(backtest)
+    backtest.add_argument("--missing-policy", choices=MISSING_POLICIES,
+                          default="error")
+    _add_flags(backtest, "tyler", "clean", "backtest")
 
     mc = subs.add_parser("mc-order", parents=[common],
                          help="Monte Carlo tally of selected model orders")
-    mc.add_argument("--trials", type=int)
-    _add_synth_flags(mc)
-    _add_clean_flags(mc)
+    _add_flags(mc, "synth", "tyler", "clean", "mc_order")
     return parser
 
 
@@ -455,21 +448,9 @@ def main(argv=None) -> int:
         _check_out(Path(args.out))
         # looked up at call time, so a rebound ``cmd_*`` is the one that runs
         globals()["cmd_" + args.command.replace("-", "_")](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except IngestionError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
     except MaxVarietyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     return 0
 
 

@@ -1,8 +1,11 @@
-"""Exception and warning types shared across the package.
+"""Exception types shared across the package.
 
 The hierarchy mirrors how failures are reported at the command line:
 parameter problems, data/ingestion problems, and numerical problems are
-distinct branches so callers can map them to distinct exit codes.
+distinct branches.  Each class carries the command line's ``exit_code``
+and stderr ``label`` for its failures: 1 and ``error`` on the base and
+parameter branch (``usage error`` for ``UsageError``), 2 and ``data
+error`` for ingestion, 3 and ``numerical error`` for numerical failures.
 """
 
 from __future__ import annotations
@@ -10,6 +13,9 @@ from __future__ import annotations
 
 class MaxVarietyError(Exception):
     """Base class for every failure raised by this package."""
+
+    exit_code = 1
+    label = "error"
 
 
 class ParameterError(MaxVarietyError, ValueError):
@@ -19,9 +25,14 @@ class ParameterError(MaxVarietyError, ValueError):
 class UsageError(ParameterError):
     """Bad command-line usage (unknown flag, malformed config file)."""
 
+    label = "usage error"
+
 
 class IngestionError(MaxVarietyError, ValueError):
     """An input file is missing, malformed, or internally inconsistent."""
+
+    exit_code = 2
+    label = "data error"
 
 
 class InsufficientSamplesError(ParameterError):
@@ -30,6 +41,9 @@ class InsufficientSamplesError(ParameterError):
 
 class NumericalError(MaxVarietyError, RuntimeError):
     """A computation could not be completed on the given numbers."""
+
+    exit_code = 3
+    label = "numerical error"
 
 
 class SingularMatrixError(NumericalError):
@@ -56,7 +70,3 @@ class ConvergenceError(NumericalError):
         super().__init__(message)
         self.residual = residual
         self.iterate = iterate
-
-
-class EigenvalueFloorWarning(UserWarning):
-    """Eigenvalues were raised to the configured floor before inversion."""

@@ -10,14 +10,13 @@ blocked triangular inverse.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ConvergenceError, DegenerateDataError,
-                     EigenvalueFloorWarning, InsufficientSamplesError,
-                     ParameterError, SingularMatrixError)
+                     InsufficientSamplesError, ParameterError,
+                     SingularMatrixError)
 
 
 @dataclass
@@ -430,32 +429,19 @@ def _sym_sqrt(a: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
 
 
-def inv_sqrt(scatter, eigen_floor: float = 1e-10) -> np.ndarray:
+def inv_sqrt(scatter) -> np.ndarray:
     """Inverse symmetric square root of a positive definite matrix.
 
-    Eigenvalues below ``eigen_floor`` times the mean eigenvalue are raised to
-    that floor before inversion; doing so emits an EigenvalueFloorWarning.
-    Raises SingularMatrixError when no strictly positive floor exists,
-    ParameterError on a matrix that is not square and DegenerateDataError
-    on a non-finite entry.
+    Raises SingularMatrixError on an eigenvalue that is not strictly
+    positive, ParameterError on a matrix that is empty or not square and
+    DegenerateDataError on a non-finite entry.
     """
-    if not 0.0 <= eigen_floor < math.inf:
-        raise ParameterError(
-            f"eigen_floor must be >= 0 and finite, got {eigen_floor}")
     values = _square(scatter, "inv_sqrt input")
     if not values.size:
         raise ParameterError("inv_sqrt input is empty")
     sym = 0.5 * (values + values.T)
     eigvals, eigvecs = np.linalg.eigh(sym)
-    mean = eigvals.mean()
-    floor = eigen_floor * mean
-    if mean <= 0.0 or floor <= 0.0 and eigvals.min() <= 0.0:
+    if eigvals.min() <= 0.0:
         raise SingularMatrixError(
             "matrix is singular or indefinite; cannot form inverse square root")
-    n_floored = int(np.count_nonzero(eigvals < floor))
-    if n_floored:
-        warnings.warn(
-            f"floored {n_floored} eigenvalue(s) below {floor:.3e} "
-            f"before inversion", EigenvalueFloorWarning, stacklevel=2)
-        eigvals = np.maximum(eigvals, floor)
     return (eigvecs / np.sqrt(eigvals)) @ eigvecs.T

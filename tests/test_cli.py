@@ -181,6 +181,39 @@ def test_unknown_config_section_rejected(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(("command", "section", "key"),
+                         [("synth", "synth", "nu"), ("clean", "tyler", "tol")])
+def test_a_config_integer_past_the_float_range_is_usage_error(
+        tmp_path, capsys, command, section, key):
+    # json.dumps writes 10**400 out in full; an int is a valid number key
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {key: 10**400}}))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "synth":
+        argv += ["--m", "3", "--N", "10"]
+    else:
+        argv += ["--input", str(_synth_returns(tmp_path, m=3, N=10))]
+    assert _run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert repr(section) in err and repr(key) in err and "float range" in err
+    assert not out.exists()
+
+
+def test_a_config_integer_past_the_digit_limit_is_usage_error(tmp_path,
+                                                              capsys):
+    # json.loads refuses an integer of more than 4300 digits
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"synth": {"seed": 1' + "0" * 5000 + "}}")
+    code = _run("synth", "--m", "3", "--N", "10", "--config", str(cfg),
+                "--out", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: config file {cfg}: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_config_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
@@ -584,6 +617,18 @@ def test_backtest_csvs_read_back_as_run_backtest_arrays(tmp_path):
         [r.turnover for r in results.values()]))
 
 
+def test_backtest_unknown_estimator_is_refused_by_its_config(tmp_path,
+                                                            capsys):
+    prices = tmp_path / "prices.csv"
+    _write_price_csv(prices, m=2, t=50)
+    code = _run("backtest", "--prices", str(prices), "--estimator", "x",
+                "--out", str(tmp_path / "bt"))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: unknown estimator 'x'; choose from {ESTIMATORS}\n")
+    assert not (tmp_path / "bt").exists()
+
+
 def test_backtest_single_estimator_plain_weights_name(tmp_path):
     prices = tmp_path / "prices.csv"
     _write_price_csv(prices, m=2, t=50)
@@ -800,6 +845,44 @@ def test_every_settings_flag_names_a_config_key():
         assert not stray, f"{name}: {sorted(stray)}"
 
 
+_COMMON_FLAGS = {"-h": "_HelpAction", "--help": "_HelpAction",
+                 "--config": "str", "--out": "str"}
+_SYNTH_FLAGS = {"--seed": "int", "--m": "int", "--N": "int", "--K": "int",
+                "--rho": "float", "--nu": "float", "--factor-snr": "float"}
+_CLEAN_FLAGS = {"--demean": "BooleanOptionalAction",
+                "--no-demean": "BooleanOptionalAction", "--tol": "float",
+                "--max-iter": "int"}
+# Every option string of every subcommand, with its type (a store action)
+# or its action class
+_CLI_SURFACE = {
+    "synth": {**_COMMON_FLAGS, **_SYNTH_FLAGS},
+    "clean": {**_COMMON_FLAGS, "--input": "str", **_CLEAN_FLAGS},
+    "allocate": {**_COMMON_FLAGS, "--input": "str", "--estimator": "str",
+                 **_CLEAN_FLAGS},
+    "backtest": {**_COMMON_FLAGS, "--prices": "str", "--estimator": "str",
+                 "--compare": "_StoreTrueAction", "--window-days": "int",
+                 "--rebalance-days": "int", "--annualization-days": "int",
+                 "--missing-policy": "str", "--benchmark": "str",
+                 **_CLEAN_FLAGS},
+    "mc-order": {**_COMMON_FLAGS, "--trials": "int", **_SYNTH_FLAGS,
+                 **_CLEAN_FLAGS},
+}
+
+
+def test_every_subcommand_has_exactly_its_pinned_flags():
+    def kind(action):
+        if type(action) is argparse._StoreAction:
+            return (action.type or str).__name__
+        return type(action).__name__
+
+    (subs,) = [action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction)]
+    got = {name: {option: kind(action) for action in sub._actions
+                  for option in action.option_strings}
+           for name, sub in subs.choices.items()}
+    assert got == _CLI_SURFACE
+
+
 def test_main_builds_one_parser_and_dispatches_by_name(tmp_path,
                                                        monkeypatch):
     builds = []
@@ -912,7 +995,9 @@ _EXIT_CODES = {
 
 
 def test_exit_code_table_names_every_error_class():
-    assert set(_error_classes()) == set(_EXIT_CODES)
+    defined = {cls for cls in vars(errors).values() if isinstance(cls, type)
+               and issubclass(cls, errors.MaxVarietyError)}
+    assert set(_error_classes()) == defined == set(_EXIT_CODES)
 
 
 @pytest.mark.parametrize("error", list(_EXIT_CODES),
@@ -922,9 +1007,9 @@ def test_each_error_class_maps_to_its_exit_code(tmp_path, capsys,
     def fail(args):
         raise error("planted failure")
 
-    monkeypatch.setattr(cli, "cmd_allocate", fail)
-    code = _run("allocate", "--input", "in.csv",
-                "--out", str(tmp_path / "out"))
     status, prefix = _EXIT_CODES[error]
-    assert code == status
-    assert capsys.readouterr().err == f"{prefix}planted failure\n"
+    for argv in (["synth"], ["allocate", "--input", "in.csv"]):
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", fail)
+        assert _run(*argv, "--out", str(tmp_path / "out")) == status
+        assert capsys.readouterr().err == f"{prefix}planted failure\n"
+    assert not (tmp_path / "out").exists()

@@ -237,7 +237,7 @@ def test_clean_covariance_decomposes_two_matrices(monkeypatch):
     assert _decompositions(monkeypatch, 1e-10) == ["eigh"]
 
 
-def test_clean_covariance_with_a_floor_decomposes_the_noise_scatter(
+def test_clean_covariance_refusal_decomposes_the_noise_scatter_once(
         monkeypatch):
     # the rho=0.6 noise scatter has eigenvalues below half their mean, so a
     # certificate at half the mean fails; the refusal decomposes the noise
@@ -262,7 +262,7 @@ def test_cholesky_whitener_matches_the_symmetric_one(k):
                                atol=1e-11 * np.abs(want.denoised).max())
 
 
-def test_clean_covariance_with_a_floored_noise_eigenvalue(monkeypatch):
+def test_clean_covariance_whitens_small_noise_eigenvalues_unfloored(monkeypatch):
     # the rho=0.8 noise scatter has eigenvalues below half their mean; at
     # the certificate they are whitened as they are, and the result is a
     # covariance with the sample variances on its diagonal

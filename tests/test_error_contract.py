@@ -270,7 +270,6 @@ def _finite_or_refused(call) -> None:
     assert _finite(result), result
 
 
-@pytest.mark.filterwarnings("ignore::maxvariety.EigenvalueFloorWarning")
 @settings(max_examples=150,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cov=_covariances(), k=st.integers(0, 3))

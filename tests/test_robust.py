@@ -11,13 +11,12 @@ from hypothesis.extra.numpy import arrays
 import maxvariety.robust as robust
 
 from maxvariety import (CleanConfig, ConvergenceError, CovarianceInput,
-                        DegenerateDataError, EigenvalueFloorWarning,
-                        FactorModelSpec, InsufficientSamplesError,
-                        MaxVarietyError, ParameterError, ScatterMatrix,
-                        SingularMatrixError, TylerConfig, clean_covariance,
-                        eigen_spectrum, fixed_point_residual, gen_panel,
-                        gen_toeplitz_scatter, inv_sqrt, mp_upper_bound, scm,
-                        toeplitzify, tyler)
+                        DegenerateDataError, FactorModelSpec,
+                        InsufficientSamplesError, MaxVarietyError,
+                        ParameterError, ScatterMatrix, SingularMatrixError,
+                        TylerConfig, clean_covariance, eigen_spectrum,
+                        fixed_point_residual, gen_panel, gen_toeplitz_scatter,
+                        inv_sqrt, mp_upper_bound, scm, toeplitzify, tyler)
 from maxvariety.robust import _tri_inv, _tyler_step
 
 
@@ -785,16 +784,13 @@ def test_inv_sqrt_reconstruction():
 
 
 def test_inv_sqrt_flooring_warns():
-    nearly_singular = np.diag([1.0, 1.0, 1e-30])
-    with pytest.warns(EigenvalueFloorWarning):
-        w = inv_sqrt(nearly_singular, eigen_floor=1e-10)
-    assert np.all(np.isfinite(w))
-
-
-def test_inv_sqrt_rejects_a_negative_or_non_finite_floor():
-    for bad in (-1e-10, float("inf"), float("nan")):
-        with pytest.raises(ParameterError):
-            inv_sqrt(np.eye(3), eigen_floor=bad)
+    # nothing is floored: a tiny positive eigenvalue is inverted as it is,
+    # and a zero one is refused
+    eigvals = np.array([1.0, 1.0, 1e-30])
+    np.testing.assert_array_equal(inv_sqrt(np.diag(eigvals)),
+                                  np.diag(1.0 / np.sqrt(eigvals)))
+    with pytest.raises(SingularMatrixError):
+        inv_sqrt(np.diag([1.0, 1.0, 0.0]))
 
 
 def test_inv_sqrt_all_zero_rejected():
