@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateDataError, ParameterError
-from .robust import _square
+from .robust import _positive, _square
 
 
 @dataclass
@@ -53,7 +53,8 @@ class CovarianceInput:
 class WeightVector:
     """Long-only weights on the unit simplex.
 
-    ``steps`` counts the solver steps that produced the weights (0 when they
+    A non-finite weight raises ParameterError naming it.  ``steps`` counts
+    the solver steps that produced the weights (0 when they
     were not solved for).
     """
 
@@ -64,6 +65,9 @@ class WeightVector:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.ndim != 1:
             raise ParameterError("weights must be a vector")
+        bad = np.flatnonzero(~np.isfinite(self.weights))
+        if bad.size:
+            raise ParameterError(f"weight {bad[0]} is not finite")
 
     def validate(self, tol: float = 1e-8) -> None:
         if self.weights.min() < -tol or self.weights.max() > 1.0 + tol:
@@ -121,9 +125,7 @@ class OptimizerConfig:
     kkt_tol: float = 1e-5
 
     def __post_init__(self):
-        if not 0.0 < self.kkt_tol < math.inf:
-            raise ParameterError(
-                f"kkt_tol must be positive and finite, got {self.kkt_tol}")
+        _positive("kkt_tol", self.kkt_tol)
 
 
 @dataclass

@@ -15,12 +15,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .allocation import OptimizerConfig, optimize_variety
+from .allocation import OptimizerConfig, _as_weights, optimize_variety
 from .denoise import CleanConfig, clean_covariance
 from .errors import (InsufficientSamplesError, MaxVarietyError,
                      NumericalError, ParameterError)
 from .panels import PricePanel, to_returns
-from .robust import scm
+from .robust import _count, _real, scm
 
 ESTIMATORS = ("scm", "rmt_tyler_whitened")
 
@@ -33,10 +33,9 @@ def rolling_schedule(n_returns: int, window_days: int,
     return indices ``[fit_start, decision)`` and the weights are held over
     ``[decision, hold_end)``.  Only full holding periods are scheduled.
     """
-    if window_days < 1 or rebalance_days < 1:
-        raise ParameterError("window_days and rebalance_days must be >= 1")
-    if n_returns < 0:
-        raise ParameterError(f"negative history length {n_returns}")
+    _count("window_days", window_days, 1)
+    _count("rebalance_days", rebalance_days, 1)
+    _count("n_returns", n_returns, 0)
     schedule = []
     decision = window_days
     while decision + rebalance_days <= n_returns:
@@ -53,10 +52,9 @@ def rolling_schedule(n_returns: int, window_days: int,
 
 
 def turnover(previous, current) -> float:
-    """L1 distance between consecutive weight vectors; lies in [0, 2]."""
-    prev = np.asarray(previous, dtype=float)
-    cur = np.asarray(current, dtype=float)
-    if prev.shape != cur.shape or prev.ndim != 1:
+    """L1 distance between two ``WeightVector``-checked vectors; in [0, 2]."""
+    prev, cur = _as_weights(previous), _as_weights(current)
+    if prev.shape != cur.shape:
         raise ParameterError(
             f"weight vectors must share one shape, got {prev.shape} "
             f"and {cur.shape}")
@@ -64,16 +62,16 @@ def turnover(previous, current) -> float:
 
 
 def _annualization(days) -> float:
-    """``annualization_days`` as a float; ParameterError unless it is at
-    least 1 and a float can hold it."""
+    """``annualization_days`` as a float; ParameterError unless it is a
+    real number of at least 1 that a float can hold."""
     try:
-        value = float(days)
+        value = float(days) if _real(days) else math.nan
     except OverflowError:  # an int past the float range
         raise ParameterError(
             "annualization_days is too large for a float") from None
     if not 1.0 <= value < math.inf:
         raise ParameterError(
-            f"annualization_days must be >= 1 and finite, got {days}")
+            f"annualization_days must be >= 1 and finite, got {days!r}")
     return value
 
 
@@ -139,12 +137,8 @@ class BacktestConfig:
     optimizer: OptimizerConfig = OptimizerConfig()
 
     def __post_init__(self):
-        if self.window_days < 2:
-            raise ParameterError(
-                f"window_days must be >= 2, got {self.window_days}")
-        if self.rebalance_days < 1:
-            raise ParameterError(
-                f"rebalance_days must be >= 1, got {self.rebalance_days}")
+        _count("window_days", self.window_days, 2)
+        _count("rebalance_days", self.rebalance_days, 1)
         _annualization(self.annualization_days)
         if self.estimator not in ESTIMATORS:
             raise ParameterError(

@@ -45,7 +45,7 @@ from .panels import (MISSING_POLICIES, _float_cells, _write_csv, load_prices,
                      load_returns_csv, save_returns_csv)
 # ``tyler`` is unused here but stays bound: the benchmark's trace hooks
 # ``maxvariety.cli.tyler`` and its tests require every hook target to exist.
-from .robust import TylerConfig, scm, tyler  # noqa: F401
+from .robust import TylerConfig, _count, scm, tyler  # noqa: F401
 
 # Per field annotation: the JSON value types it accepts, their description,
 # and the argparse keywords of its flag.  json.loads gives exact built-in
@@ -357,8 +357,7 @@ def cmd_mc_order(args) -> None:
     trials = _settings(config, "mc_order", args).get("trials")
     if trials is None:
         raise UsageError("mc-order needs --trials (or config mc_order.trials)")
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
+    _count("trials", trials, 1)
 
     triples = [_order_counts(dataclasses.replace(spec, seed=spec.seed + i),
                              clean_cfg)

@@ -27,7 +27,8 @@ from .errors import (DegenerateDataError, DegenerateSpectrumError,
                      InsufficientSamplesError, ParameterError)
 from .panels import _float_cells, _write_csv
 from .robust import (ScatterMatrix, TylerConfig, demean_rows, toeplitzify,
-                     tyler, _check_panel, _check_squares, _square, _tri_inv)
+                     tyler, _check_panel, _check_squares, _count, _positive,
+                     _square, _tri_inv)
 # ``inv_sqrt`` is unused here but stays bound: the benchmark's trace hooks
 # ``maxvariety.denoise.inv_sqrt`` and its tests require every hook target
 # to exist.
@@ -76,8 +77,7 @@ def _eigenvalues(spectrum, what: str) -> np.ndarray:
 
 def mp_upper_bound(ratio_c: float) -> float:
     """Upper edge of the noise eigenvalue bulk at aspect ratio c = m/N."""
-    if not ratio_c > 0.0:
-        raise ParameterError(f"aspect ratio must be positive, got {ratio_c}")
+    _positive("ratio_c", ratio_c)
     return (1.0 + math.sqrt(ratio_c)) ** 2
 
 
@@ -90,8 +90,8 @@ def order_threshold(m: int, n: int) -> float:
     puts its top eigenvalue above the result about 1% of the time.  Always
     above the bulk edge ``mp_upper_bound(m / n)``.
     """
-    if m < 1 or n < 2:
-        raise ParameterError(f"need m >= 1 and N >= 2, got m={m}, N={n}")
+    _count("m", m, 1)
+    _count("N", n, 2)
     a = math.sqrt(n - 1.0)
     b = math.sqrt(m)
     mu = (a + b) ** 2 / n
@@ -120,8 +120,9 @@ def clip_spectrum(eigenvalues, k: int) -> np.ndarray:
     eigvals = _eigenvalues(eigenvalues, "clip_spectrum")
     if np.any(np.diff(eigvals) > 0.0):
         raise ParameterError("eigenvalues must be sorted in descending order")
+    _count("k", k, 0)
     m = eigvals.size
-    if not 0 <= k <= m:
+    if k > m:
         raise ParameterError(f"k must lie in [0, {m}], got {k}")
     if k == m:
         return eigvals.copy()
@@ -147,6 +148,10 @@ class CleanConfig:
 
     tyler: TylerConfig = TylerConfig()
     demean: bool = True
+
+    def __post_init__(self):
+        if not isinstance(self.demean, (bool, np.bool_)):
+            raise ParameterError(f"demean must be a bool: {self.demean!r}")
 
 
 @dataclass

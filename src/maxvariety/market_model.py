@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .panels import ReturnsPanel
-from .robust import _sym_sqrt
+from .robust import _count, _positive, _real, _sym_sqrt
 
 # numpy sizes an array in bytes by a signed intp: a float array with more
 # entries than this cannot be described, let alone allocated
@@ -44,29 +44,22 @@ class FactorModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ParameterError(f"m must be >= 1, got {self.m}")
-        if self.N < 1:
-            raise ParameterError(f"N must be >= 1, got {self.N}")
-        if self.m * max(self.m, self.N) > _MAX_ENTRIES:
+        _count("m", self.m, 1)
+        _count("N", self.N, 1)
+        if self.m > _MAX_ENTRIES // max(self.m, self.N):
             raise ParameterError(
                 f"m={self.m}, N={self.N} is too large: the m x m scatter or "
                 f"m x N panel would pass numpy's array size limit")
-        if self.K < 0:
-            raise ParameterError(f"K must be >= 0, got {self.K}")
+        _count("K", self.K, 0)
         if self.K >= self.m:
             raise ParameterError(
                 f"K must be smaller than m, got K={self.K}, m={self.m}")
-        if not 0.0 <= self.rho < 1.0:
-            raise ParameterError(f"rho must lie in [0, 1), got {self.rho}")
-        if not 0.0 < self.nu < math.inf:
+        _check_rho(self.rho)
+        _positive("nu", self.nu)
+        if not (_real(self.factor_snr) and 0.0 <= self.factor_snr < math.inf):
             raise ParameterError(
-                f"nu must be positive and finite, got {self.nu}")
-        if not 0.0 <= self.factor_snr < math.inf:
-            raise ParameterError(
-                f"factor_snr must be >= 0 and finite, got {self.factor_snr}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+                f"factor_snr must be >= 0 and finite, got {self.factor_snr!r}")
+        _count("seed", self.seed, 0)
 
 
 @dataclass
@@ -83,29 +76,29 @@ class SyntheticPanel:
         return ReturnsPanel(self.returns)
 
 
+def _check_rho(rho) -> None:
+    if not (_real(rho) and 0.0 <= rho < 1.0):
+        raise ParameterError(f"rho must lie in [0, 1), got {rho!r}")
+
+
 def gen_toeplitz_scatter(m: int, rho: float) -> np.ndarray:
     """Scatter matrix with entries rho**|i-j|; symmetric positive definite."""
-    if m < 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
-    if not 0.0 <= rho < 1.0:
-        raise ParameterError(f"rho must lie in [0, 1), got {rho}")
+    _count("m", m, 1)
+    _check_rho(rho)
     idx = np.arange(m)
     return rho ** np.abs(idx[:, None] - idx[None, :]).astype(float)
 
 
 def gen_texture(nu: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-mean Gamma textures with shape nu (variance 1/nu)."""
-    if not 0.0 < nu < math.inf:
-        raise ParameterError(f"nu must be positive and finite, got {nu}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    _positive("nu", nu)
+    _count("n", n, 1)
     return rng.gamma(shape=nu, scale=1.0 / nu, size=n)
 
 
 def gen_sphere_vector(m: int, rng: np.random.Generator) -> np.ndarray:
     """A point drawn uniformly on the unit sphere in R^m."""
-    if m < 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
+    _count("m", m, 1)
     while True:
         g = rng.standard_normal(m)
         norm = np.linalg.norm(g)

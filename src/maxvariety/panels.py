@@ -35,28 +35,31 @@ class ReturnsPanel:
     timestamps: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        # row-major whatever the source (a CSV parse gives the transpose):
-        # every Tyler sweep runs its panel-wide products on this layout,
-        # and equal values then give equal bytes downstream
-        self.values = np.ascontiguousarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ParameterError("returns panel must be a 2-d array")
+        self.values = _rows(self.values, self.labels or None,
+                            self.timestamps or None, "return", "timestamps")
         m, n = self.values.shape
-        if not self.labels:
-            self.labels = [f"A{i:03d}" for i in range(m)]
-        if not self.timestamps:
-            self.timestamps = [str(t) for t in range(n)]
-        if len(self.labels) != m:
-            raise ParameterError(
-                f"{len(self.labels)} labels for {m} assets")
-        if len(self.timestamps) != n:
-            raise ParameterError(
-                f"{len(self.timestamps)} timestamps for {n} observations")
-        repeat = _repeat(self.labels)
-        if repeat:
-            label, a, b = repeat
-            raise ParameterError(
-                f"label {label!r} names return rows {a} and {b}")
+        self.labels = self.labels or [f"A{i:03d}" for i in range(m)]
+        self.timestamps = self.timestamps or [str(t) for t in range(n)]
+
+
+def _rows(values, labels, stamps, kind: str, what: str) -> np.ndarray:
+    """``values`` as a row-major 2-d float array with one distinct label per
+    ``kind`` row and one ``what`` stamp per column (None: not checked)."""
+    # row-major whatever the source (a CSV parse gives the transpose): Tyler
+    # sweeps run on it, and equal values give equal bytes downstream
+    values = np.ascontiguousarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ParameterError(f"{kind}s panel must be a 2-d array")
+    m, n = values.shape
+    if labels is not None and len(labels) != m:
+        raise ParameterError(f"{len(labels)} labels for {m} assets")
+    if stamps is not None and len(stamps) != n:
+        raise ParameterError(f"{len(stamps)} {what} for {n} observations")
+    repeat = labels is not None and _repeat(labels)
+    if repeat:
+        label, a, b = repeat
+        raise ParameterError(f"label {label!r} names {kind} rows {a} and {b}")
+    return values
 
 
 def _float_cells(values) -> list[str]:
@@ -226,19 +229,8 @@ class PricePanel:
     fill_counts: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.prices = np.ascontiguousarray(self.prices, dtype=float)
-        if self.prices.ndim != 2:
-            raise ParameterError("prices must be a 2-d array")
-        m, t = self.prices.shape
-        if len(self.labels) != m:
-            raise ParameterError(f"{len(self.labels)} labels for {m} assets")
-        repeat = _repeat(self.labels)
-        if repeat:
-            label, a, b = repeat
-            raise ParameterError(
-                f"label {label!r} names price rows {a} and {b}")
-        if len(self.dates) != t:
-            raise ParameterError(f"{len(self.dates)} dates for {t} columns")
+        self.prices = _rows(self.prices, self.labels, self.dates, "price",
+                            "dates")
 
 
 def load_prices(path, missing_policy: str = "error") -> PricePanel:

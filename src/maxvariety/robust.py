@@ -1,15 +1,17 @@
 """Scatter-matrix estimation and rectification.
 
 Provides the sample covariance, a distribution-free fixed-point M-estimator
-of scatter, rectification of an estimate toward Toeplitz structure, and the
-inverse square root that whitens a panel with one of them.  The fixed point
-and the cleaning pipeline's whitener invert Cholesky factors with a private
-blocked triangular inverse.
+of scatter, rectification of an estimate toward Toeplitz structure, and an
+inverse symmetric square root.  The fixed point and the cleaning pipeline's
+whitener invert Cholesky factors with a private blocked triangular inverse.
+Each argument rule has one check: ``_square``, ``_check_panel``, ``_count``
+(an integer with a lower bound) and ``_positive`` (a positive finite scale).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,19 +39,40 @@ class ScatterMatrix:
         self.values = _square(self.values, "scatter")
 
 
-def _square(matrix, what: str) -> np.ndarray:
+def _square(matrix, what: str, size: int | None = None) -> np.ndarray:
     """``matrix`` (or a ScatterMatrix's values) as a float array; raises
-    ParameterError unless it is square, DegenerateDataError naming its
-    first non-finite entry."""
+    ParameterError unless it is square (``size`` x ``size`` if given),
+    DegenerateDataError naming its first non-finite entry."""
     values = np.asarray(matrix.values if isinstance(matrix, ScatterMatrix)
                         else matrix, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ParameterError(f"{what} must be a square matrix")
+    if size is not None and len(values) != size:
+        raise ParameterError(f"{what} must be {size} x {size}")
     if not np.isfinite(values).all():
         row, col = np.argwhere(~np.isfinite(values))[0]
         raise DegenerateDataError(f"{what} entry ({row}, {col}) is not "
                                   f"finite: {float(values[row, col])!r}")
     return values
+
+
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _count(name: str, value, low: int) -> None:
+    """ParameterError unless ``value`` is an integer, not a bool, >= low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ParameterError(f"{name} must be >= {low}, got {value}")
+
+
+def _positive(name: str, value) -> None:
+    """ParameterError unless ``value`` is a real number, not a bool, > 0."""
+    if not (_real(value) and 0.0 < value < math.inf):
+        raise ParameterError(f"{name} must be positive and finite, got "
+                             f"{value if _real(value) else repr(value)}")
 
 
 def _check_panel(panel) -> np.ndarray:
@@ -121,11 +144,8 @@ class TylerConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not 0.0 < self.tol < math.inf:
-            raise ParameterError(
-                f"tol must be positive and finite, got {self.tol}")
+        _count("max_iter", self.max_iter, 1)
+        _positive("tol", self.tol)
 
 
 # Up to this order _tri_inv hands a block to LAPACK's inverse whole.  On a
@@ -263,12 +283,8 @@ class _Anderson:
 
 
 def _check_start(start, m: int) -> np.ndarray:
-    start = np.asarray(start, dtype=float)
-    if start.shape != (m, m):
-        raise ParameterError(
-            f"start must be {m} x {m}, got shape {start.shape}")
-    if not np.isfinite(start).all():
-        raise ParameterError("start has a non-finite entry")
+    start = _square(start, "start", m)
+    # rescaled onto trace m, an indefinite start such as -I would pass
     try:
         np.linalg.cholesky(start)
     except np.linalg.LinAlgError as exc:
@@ -284,9 +300,9 @@ def tyler(panel, config: TylerConfig | None = None, *,
     iteration, renormalizing the trace to m after every sweep.  The iteration
     starts from the identity, or from ``start`` (an m x m positive definite
     matrix, scaled to trace m first) when one is given: a start at the fixed
-    point returns after one sweep, which certifies it.  A start of the wrong
-    shape or with a non-finite entry raises ParameterError; one that is not
-    positive definite raises SingularMatrixError.  Per-sample scale factors
+    point returns after one sweep, which certifies it.  A wrong start raises
+    ParameterError (shape), DegenerateDataError (a non-finite entry, named)
+    or SingularMatrixError (not positive definite).  Per-sample scale factors
     cancel inside the quadratic form, so the estimate ignores any
     heavy-tailed radial component of the data.  Each sweep takes the
     quadratic forms from the blocked triangular inverse of a Cholesky
@@ -385,9 +401,7 @@ def fixed_point_residual(panel, scatter) -> float:
     """
     panel = _check_panel(panel)
     _observation_squares(panel)
-    values = _square(scatter, "scatter")
-    if len(values) != len(panel):
-        raise ParameterError(f"scatter must be {len(panel)} x {len(panel)}")
+    values = _square(scatter, "scatter", len(panel))
     # the defect is scale-free; at unit scale its norms cannot under- or
     # overflow
     values = values / max(np.abs(values).max(), np.finfo(float).tiny)

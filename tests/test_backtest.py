@@ -128,6 +128,9 @@ def test_price_panel_rejects_a_repeated_label():
     with pytest.raises(ParameterError) as caught:
         PricePanel(dates, prices, ["A", "B", "A"])
     assert str(caught.value) == "label 'A' names price rows 0 and 2"
+    # labels given as an array are checked as a list is
+    with pytest.raises(ParameterError, match="names price rows 0 and 2"):
+        PricePanel(dates, prices, np.array(["A", "B", "A"]))
 
 
 def test_to_returns_fixture():

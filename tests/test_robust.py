@@ -596,7 +596,7 @@ def test_tyler_start_validation():
         tyler(panel, start=np.eye(3))
     nan_start = np.eye(4)
     nan_start[1, 2] = np.nan
-    with pytest.raises(ParameterError, match="non-finite"):
+    with pytest.raises(DegenerateDataError, match=r"start entry \(1, 2\)"):
         tyler(panel, start=nan_start)
     with pytest.raises(SingularMatrixError, match="start is not positive"):
         tyler(panel, start=np.diag([3.0, 2.0, 1.0, -1.0]))
@@ -783,7 +783,7 @@ def test_inv_sqrt_reconstruction():
     assert np.linalg.norm(w @ spd @ w - np.eye(50), 2) < 1e-8
 
 
-def test_inv_sqrt_flooring_warns():
+def test_inv_sqrt_inverts_tiny_eigenvalues_and_refuses_zero():
     # nothing is floored: a tiny positive eigenvalue is inverted as it is,
     # and a zero one is refused
     eigvals = np.array([1.0, 1.0, 1e-30])
