@@ -18,10 +18,8 @@ from .denoise import (CleanConfig, CleaningReport, EigenSpectrum,
                       clean_covariance, clip_spectrum, eigen_spectrum,
                       mp_upper_bound, order_threshold,
                       save_eigenvalue_histogram, select_order)
-from .errors import (ConvergenceError, DegenerateDataError,
-                     DegenerateSpectrumError, IngestionError,
-                     InsufficientSamplesError, MaxVarietyError,
-                     NumericalError, ParameterError, SingularMatrixError,
+from .errors import (ConvergenceError, DegenerateDataError, IngestionError,
+                     MaxVarietyError, NumericalError, ParameterError,
                      UsageError)
 from .market_model import (FactorModelSpec, SyntheticPanel, gen_panel,
                            gen_sphere_vector, gen_texture,

@@ -22,7 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateDataError, ParameterError
-from .robust import _positive, _square
+from .robust import _config, _real, _square
+
+# ``WeightVector.validate``'s rounding slack on [0, 1] and on a sum of 1
+_SIMPLEX_TOL = 1e-8
 
 
 @dataclass
@@ -69,10 +72,11 @@ class WeightVector:
         if bad.size:
             raise ParameterError(f"weight {bad[0]} is not finite")
 
-    def validate(self, tol: float = 1e-8) -> None:
-        if self.weights.min() < -tol or self.weights.max() > 1.0 + tol:
+    def validate(self) -> None:
+        if (self.weights.min() < -_SIMPLEX_TOL
+                or self.weights.max() > 1.0 + _SIMPLEX_TOL):
             raise ParameterError("weights must lie in [0, 1]")
-        if abs(self.weights.sum() - 1.0) > tol:
+        if abs(self.weights.sum() - 1.0) > _SIMPLEX_TOL:
             raise ParameterError(
                 f"weights sum to {self.weights.sum()!r}, expected 1")
 
@@ -125,7 +129,7 @@ class OptimizerConfig:
     kkt_tol: float = 1e-5
 
     def __post_init__(self):
-        _positive("kkt_tol", self.kkt_tol)
+        _real("kkt_tol", self.kkt_tol)
 
 
 @dataclass
@@ -319,7 +323,7 @@ def optimize_variety(cov, config: OptimizerConfig | None = None) -> Optimization
     Raises ConvergenceError when it exceeds ``kkt_tol``.
     """
     cov = _as_cov(cov)
-    cfg = config or OptimizerConfig()
+    cfg = _config("config", config, OptimizerConfig)
     weights = min_variance_variety_weights(cov)
     ratio = variety_ratio(weights, cov)
     residual = _kkt_residual(weights.weights, cov)

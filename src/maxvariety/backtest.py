@@ -10,17 +10,15 @@ rebalance.  Wealth starts at 100 on the first rebalance date.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .allocation import OptimizerConfig, _as_weights, optimize_variety
 from .denoise import CleanConfig, clean_covariance
-from .errors import (InsufficientSamplesError, MaxVarietyError,
-                     NumericalError, ParameterError)
+from .errors import DegenerateDataError, MaxVarietyError, ParameterError
 from .panels import PricePanel, to_returns
-from .robust import _count, _real, scm
+from .robust import _config, _count, _real, scm
 
 ESTIMATORS = ("scm", "rmt_tyler_whitened")
 
@@ -43,7 +41,7 @@ def rolling_schedule(n_returns: int, window_days: int,
                          decision + rebalance_days))
         decision += rebalance_days
     if not schedule:
-        raise InsufficientSamplesError(
+        raise ParameterError(
             f"history of {n_returns} returns is too short: need at least "
             f"{window_days + rebalance_days} "
             f"(window {window_days} plus one holding period "
@@ -61,20 +59,6 @@ def turnover(previous, current) -> float:
     return float(np.abs(cur - prev).sum())
 
 
-def _annualization(days) -> float:
-    """``annualization_days`` as a float; ParameterError unless it is a
-    real number of at least 1 that a float can hold."""
-    try:
-        value = float(days) if _real(days) else math.nan
-    except OverflowError:  # an int past the float range
-        raise ParameterError(
-            "annualization_days is too large for a float") from None
-    if not 1.0 <= value < math.inf:
-        raise ParameterError(
-            f"annualization_days must be >= 1 and finite, got {days!r}")
-    return value
-
-
 @dataclass
 class PerfStats:
     """Headline performance numbers of a wealth curve."""
@@ -89,16 +73,17 @@ def perf_stats(wealth, annualization_days: int = 252) -> PerfStats:
     """Annualized return and volatility, their ratio, and max drawdown.
 
     The ratio is ``None`` (serialized as null) when volatility is zero.  A
-    series that is not finite and positive raises NumericalError, as does a
-    return, volatility or ratio that overflows (naming it);
+    series that is not finite and positive raises DegenerateDataError, as
+    does a return, volatility or ratio that overflows (naming it);
     ``annualization_days`` below 1 or past the float range, ParameterError.
     """
     series = np.asarray(wealth, dtype=float)
     if series.ndim != 1 or series.size < 2:
         raise ParameterError("wealth series needs at least two points")
-    days = _annualization(annualization_days)
+    days = _real("annualization_days", annualization_days, 1.0,
+                 rule="be >= 1 and finite", closed=True)
     if not np.all((series > 0.0) & (series < np.inf)):
-        raise NumericalError("wealth series is not finite and positive")
+        raise DegenerateDataError("wealth series is not finite and positive")
     periods = series.size - 1
     with np.errstate(over="ignore", invalid="ignore"):
         growth = series[-1] / series[0]
@@ -111,8 +96,8 @@ def perf_stats(wealth, annualization_days: int = 252) -> PerfStats:
                         ("annualized volatility", ann_vol),
                         ("return over volatility", ratio or 0.0)):
         if not np.isfinite(value):
-            raise NumericalError(f"{name} of the wealth series is not "
-                                 f"finite: {float(value)!r}")
+            raise DegenerateDataError(f"{name} of the wealth series is not "
+                                      f"finite: {float(value)!r}")
     drawdown = float(np.max(1.0 - series / np.maximum.accumulate(series)))
     return PerfStats(annualized_return=float(ann_return),
                      annualized_vol=float(ann_vol),
@@ -137,9 +122,12 @@ class BacktestConfig:
     optimizer: OptimizerConfig = OptimizerConfig()
 
     def __post_init__(self):
+        _config("clean", self.clean, CleanConfig, nested=True)
+        _config("optimizer", self.optimizer, OptimizerConfig, nested=True)
         _count("window_days", self.window_days, 2)
         _count("rebalance_days", self.rebalance_days, 1)
-        _annualization(self.annualization_days)
+        _real("annualization_days", self.annualization_days, 1.0,
+              rule="be >= 1 and finite", closed=True)
         if self.estimator not in ESTIMATORS:
             raise ParameterError(
                 f"unknown estimator {self.estimator!r}; "
@@ -217,15 +205,15 @@ def run_backtest(panel: PricePanel,
     A package error raised by the estimator or the optimizer propagates as
     its own class, its message prefixed with ``rebalance <date>:``.  Wealth,
     the portfolio's or the benchmark's, that hits zero or overflows raises
-    NumericalError.
+    DegenerateDataError.
     """
-    cfg = config or BacktestConfig()
+    cfg = _config("config", config, BacktestConfig)
     panel, benchmark_prices = _split_benchmark(panel, cfg.benchmark)
     returns_panel = to_returns(panel)
     returns = returns_panel.values
     m, n_returns = returns.shape
     if cfg.estimator == "rmt_tyler_whitened" and cfg.window_days <= m:
-        raise InsufficientSamplesError(
+        raise ParameterError(
             f"estimator {cfg.estimator!r} needs window_days > asset count, "
             f"got window {cfg.window_days} for {m} assets")
     schedule = rolling_schedule(n_returns, cfg.window_days, cfg.rebalance_days)
@@ -269,11 +257,11 @@ def run_backtest(panel: PricePanel,
 
     wealth = np.asarray(wealth_values)
     if np.any(wealth <= 0.0):
-        raise NumericalError(
+        raise DegenerateDataError(
             "portfolio wealth hit zero; inputs are inconsistent with "
             "arithmetic-return accounting")
     if not np.isfinite(wealth).all():
-        raise NumericalError("portfolio wealth overflowed a float")
+        raise DegenerateDataError("portfolio wealth overflowed a float")
     summary = perf_stats(wealth, cfg.annualization_days)
 
     benchmark_wealth = None

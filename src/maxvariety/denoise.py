@@ -23,12 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateDataError, DegenerateSpectrumError,
-                     InsufficientSamplesError, ParameterError)
+from .errors import DegenerateDataError, ParameterError
 from .panels import _float_cells, _write_csv
 from .robust import (ScatterMatrix, TylerConfig, demean_rows, toeplitzify,
-                     tyler, _check_panel, _check_squares, _count, _positive,
-                     _square, _tri_inv)
+                     tyler, _check_panel, _check_squares, _config, _count,
+                     _real, _square, _tri_inv)
 # ``inv_sqrt`` is unused here but stays bound: the benchmark's trace hooks
 # ``maxvariety.denoise.inv_sqrt`` and its tests require every hook target
 # to exist.
@@ -77,8 +76,7 @@ def _eigenvalues(spectrum, what: str) -> np.ndarray:
 
 def mp_upper_bound(ratio_c: float) -> float:
     """Upper edge of the noise eigenvalue bulk at aspect ratio c = m/N."""
-    _positive("ratio_c", ratio_c)
-    return (1.0 + math.sqrt(ratio_c)) ** 2
+    return (1.0 + math.sqrt(_real("ratio_c", ratio_c))) ** 2
 
 
 def order_threshold(m: int, n: int) -> float:
@@ -105,9 +103,10 @@ def select_order(spectrum, lambda_bar: float) -> int:
     The pipeline passes the Tracy-Widom threshold ``order_threshold(m, N)``
     (alpha = 0.01, Johnstone 2001); passing the bulk edge
     ``mp_upper_bound(m / N)`` gives the paper-literal count instead.  A
-    non-finite eigenvalue raises ParameterError.
+    non-finite eigenvalue or threshold raises ParameterError.
     """
     eigvals = _eigenvalues(spectrum, "select_order")
+    lambda_bar = _real("lambda_bar", lambda_bar, -math.inf, rule="be finite")
     return int(np.count_nonzero(eigvals > lambda_bar))
 
 
@@ -128,7 +127,7 @@ def clip_spectrum(eigenvalues, k: int) -> np.ndarray:
         return eigvals.copy()
     level = (eigvals.sum() - eigvals[:k].sum()) / (m - k)
     if level <= 0.0:
-        raise DegenerateSpectrumError(
+        raise DegenerateDataError(
             f"clipping produced a non-positive noise level {float(level)!r}")
     out = eigvals.copy()
     out[k:] = level
@@ -150,6 +149,7 @@ class CleanConfig:
     demean: bool = True
 
     def __post_init__(self):
+        _config("tyler", self.tyler, TylerConfig, nested=True)
         if not isinstance(self.demean, (bool, np.bool_)):
             raise ParameterError(f"demean must be a bool: {self.demean!r}")
 
@@ -231,11 +231,11 @@ def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport
     not certified above ``1e-10`` times their mean, naming the smallest.
     Estimation errors propagate.
     """
-    cfg = config or CleanConfig()
+    cfg = _config("config", config, CleanConfig)
     panel = _check_panel(panel)
     m, n = panel.shape
     if n <= m:
-        raise InsufficientSamplesError(
+        raise ParameterError(
             f"need more observations than assets, got m={m}, N={n}")
     work = demean_rows(panel) if cfg.demean else panel
 

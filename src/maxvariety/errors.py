@@ -1,11 +1,15 @@
 """Exception types shared across the package.
 
-The hierarchy mirrors how failures are reported at the command line:
-parameter problems, data/ingestion problems, and numerical problems are
-distinct branches.  Each class carries the command line's ``exit_code``
-and stderr ``label`` for its failures: 1 and ``error`` on the base and
-parameter branch (``usage error`` for ``UsageError``), 2 and ``data
-error`` for ingestion, 3 and ``numerical error`` for numerical failures.
+Every failure is raised as one of five classes, each carrying the command
+line's ``exit_code`` and stderr ``label``: ``ParameterError`` (1, ``error``)
+for an invalid argument or setting, or too few observations;
+``UsageError`` (1, ``usage error``) for bad command-line usage or config;
+``IngestionError`` (2, ``data error``) for a missing, malformed or
+inconsistent input file; ``DegenerateDataError`` (3, ``numerical error``)
+for numbers that admit no answer (a singular or non-finite matrix, a zero
+variance, wealth that overflows or hits zero); and ``ConvergenceError`` (3,
+``numerical error``) for an iterative routine out of steps.  Nothing raises
+the bases ``MaxVarietyError`` and ``NumericalError`` directly.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ class MaxVarietyError(Exception):
 
 
 class ParameterError(MaxVarietyError, ValueError):
-    """An argument or configuration value is invalid."""
+    """An argument or setting is invalid, or the observations too few."""
 
 
 class UsageError(ParameterError):
@@ -35,10 +39,6 @@ class IngestionError(MaxVarietyError, ValueError):
     label = "data error"
 
 
-class InsufficientSamplesError(ParameterError):
-    """An estimator was asked to run with too few observations."""
-
-
 class NumericalError(MaxVarietyError, RuntimeError):
     """A computation could not be completed on the given numbers."""
 
@@ -46,16 +46,8 @@ class NumericalError(MaxVarietyError, RuntimeError):
     label = "numerical error"
 
 
-class SingularMatrixError(NumericalError):
-    """A matrix that must be invertible is singular or indefinite."""
-
-
 class DegenerateDataError(NumericalError):
-    """Observations are unusable for estimation (e.g. an all-zero sample)."""
-
-
-class DegenerateSpectrumError(NumericalError):
-    """A spectrum manipulation produced non-positive eigenvalues."""
+    """The numbers admit no answer (e.g. a singular matrix, a zero sample)."""
 
 
 class ConvergenceError(NumericalError):

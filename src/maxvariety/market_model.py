@@ -11,14 +11,13 @@ Gaussian) while leaving its scatter shape equal to ``C``.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
 from .panels import ReturnsPanel
-from .robust import _count, _positive, _real, _sym_sqrt
+from .robust import _count, _real, _sym_sqrt
 
 # numpy sizes an array in bytes by a signed intp: a float array with more
 # entries than this cannot be described, let alone allocated
@@ -54,11 +53,10 @@ class FactorModelSpec:
         if self.K >= self.m:
             raise ParameterError(
                 f"K must be smaller than m, got K={self.K}, m={self.m}")
-        _check_rho(self.rho)
-        _positive("nu", self.nu)
-        if not (_real(self.factor_snr) and 0.0 <= self.factor_snr < math.inf):
-            raise ParameterError(
-                f"factor_snr must be >= 0 and finite, got {self.factor_snr!r}")
+        _real("rho", self.rho, 0.0, 1.0, "lie in [0, 1)", closed=True)
+        _real("nu", self.nu)
+        _real("factor_snr", self.factor_snr, rule="be >= 0 and finite",
+              closed=True)
         _count("seed", self.seed, 0)
 
 
@@ -76,22 +74,17 @@ class SyntheticPanel:
         return ReturnsPanel(self.returns)
 
 
-def _check_rho(rho) -> None:
-    if not (_real(rho) and 0.0 <= rho < 1.0):
-        raise ParameterError(f"rho must lie in [0, 1), got {rho!r}")
-
-
 def gen_toeplitz_scatter(m: int, rho: float) -> np.ndarray:
     """Scatter matrix with entries rho**|i-j|; symmetric positive definite."""
     _count("m", m, 1)
-    _check_rho(rho)
+    rho = _real("rho", rho, 0.0, 1.0, "lie in [0, 1)", closed=True)
     idx = np.arange(m)
     return rho ** np.abs(idx[:, None] - idx[None, :]).astype(float)
 
 
 def gen_texture(nu: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-mean Gamma textures with shape nu (variance 1/nu)."""
-    _positive("nu", nu)
+    nu = _real("nu", nu)
     _count("n", n, 1)
     return rng.gamma(shape=nu, scale=1.0 / nu, size=n)
 

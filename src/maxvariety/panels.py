@@ -35,11 +35,15 @@ class ReturnsPanel:
     timestamps: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        self.values = _rows(self.values, self.labels or None,
-                            self.timestamps or None, "return", "timestamps")
+        # by length: a numpy array of labels or timestamps has no truth value
+        labels = self.labels if len(self.labels) else None
+        stamps = self.timestamps if len(self.timestamps) else None
+        self.values = _rows(self.values, labels, stamps, "return", "timestamps")
         m, n = self.values.shape
-        self.labels = self.labels or [f"A{i:03d}" for i in range(m)]
-        self.timestamps = self.timestamps or [str(t) for t in range(n)]
+        if labels is None:
+            self.labels = [f"A{i:03d}" for i in range(m)]
+        if stamps is None:
+            self.timestamps = [str(t) for t in range(n)]
 
 
 def _rows(values, labels, stamps, kind: str, what: str) -> np.ndarray:

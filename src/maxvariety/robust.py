@@ -5,7 +5,8 @@ of scatter, rectification of an estimate toward Toeplitz structure, and an
 inverse symmetric square root.  The fixed point and the cleaning pipeline's
 whitener invert Cholesky factors with a private blocked triangular inverse.
 Each argument rule has one check: ``_square``, ``_check_panel``, ``_count``
-(an integer with a lower bound) and ``_positive`` (a positive finite scale).
+(an integer with a lower bound), ``_real`` (a real number in a range, as a
+float) and ``_config`` (a settings object of its class).
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceError, DegenerateDataError,
-                     InsufficientSamplesError, ParameterError,
-                     SingularMatrixError)
+from .errors import ConvergenceError, DegenerateDataError, ParameterError
 
 
 @dataclass
@@ -56,10 +55,6 @@ def _square(matrix, what: str, size: int | None = None) -> np.ndarray:
     return values
 
 
-def _real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _count(name: str, value, low: int) -> None:
     """ParameterError unless ``value`` is an integer, not a bool, >= low."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -68,11 +63,31 @@ def _count(name: str, value, low: int) -> None:
         raise ParameterError(f"{name} must be >= {low}, got {value}")
 
 
-def _positive(name: str, value) -> None:
-    """ParameterError unless ``value`` is a real number, not a bool, > 0."""
-    if not (_real(value) and 0.0 < value < math.inf):
-        raise ParameterError(f"{name} must be positive and finite, got "
-                             f"{value if _real(value) else repr(value)}")
+def _real(name: str, value, low: float = 0.0, high: float = math.inf,
+          rule: str = "be positive and finite", *,
+          closed: bool = False) -> float:
+    """``value`` as a float in ``(low, high)`` (``[low, high)`` if
+    ``closed``); ParameterError ``<name> must <rule>, got <value!r>`` for a
+    bool, a non-real or a value outside, ``<name> is too large for a float``
+    for an integer past the float range."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else math.nan  # NaN: out of any range
+    except OverflowError:
+        raise ParameterError(f"{name} is too large for a float") from None
+    if not ((low <= number if closed else low < number) and number < high):
+        raise ParameterError(f"{name} must {rule}, got {value!r}")
+    return number
+
+
+def _config(name: str, value, kind: type, *, nested: bool = False):
+    """``value``, or ``kind()`` for an argument (not ``nested``) of None;
+    ParameterError naming ``name`` for anything else that is not a kind."""
+    if value is None and not nested:
+        return kind()
+    if not isinstance(value, kind):
+        raise ParameterError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def _check_panel(panel) -> np.ndarray:
@@ -132,7 +147,7 @@ def scm(panel, demean: bool = False) -> ScatterMatrix:
     _check_squares(np.diagonal(cov), "asset")
     cov /= n
     if not np.any(cov):
-        raise SingularMatrixError("sample covariance is identically zero")
+        raise DegenerateDataError("sample covariance is identically zero")
     return ScatterMatrix(cov)
 
 
@@ -145,7 +160,7 @@ class TylerConfig:
 
     def __post_init__(self):
         _count("max_iter", self.max_iter, 1)
-        _positive("tol", self.tol)
+        _real("tol", self.tol)
 
 
 # Up to this order _tri_inv hands a block to LAPACK's inverse whole.  On a
@@ -200,12 +215,12 @@ def _tyler_step(panel: np.ndarray, current: np.ndarray, work=None,
         try:
             factor = np.linalg.cholesky(current)
         except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(
+            raise DegenerateDataError(
                 "scatter iterate lost positive definiteness") from exc
         work = np.matmul(_tri_inv(factor), panel, out=work)
         quad = np.einsum("ij,ij->j", work, work)
     if not np.all(quad > 0.0):
-        raise SingularMatrixError(
+        raise DegenerateDataError(
             "scatter iterate lost positive definiteness")
     scaled = np.divide(panel, np.sqrt(quad), out=work)
     # numpy's syrk for ``x @ x.T`` mirrors a triangle: exactly symmetric
@@ -288,7 +303,7 @@ def _check_start(start, m: int) -> np.ndarray:
     try:
         np.linalg.cholesky(start)
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("start is not positive definite") from exc
+        raise DegenerateDataError("start is not positive definite") from exc
     return start * (m / np.trace(start))
 
 
@@ -301,9 +316,9 @@ def tyler(panel, config: TylerConfig | None = None, *,
     starts from the identity, or from ``start`` (an m x m positive definite
     matrix, scaled to trace m first) when one is given: a start at the fixed
     point returns after one sweep, which certifies it.  A wrong start raises
-    ParameterError (shape), DegenerateDataError (a non-finite entry, named)
-    or SingularMatrixError (not positive definite).  Per-sample scale factors
-    cancel inside the quadratic form, so the estimate ignores any
+    ParameterError (shape) or DegenerateDataError (a non-finite entry, named,
+    or not positive definite).  Per-sample scale factors cancel inside the
+    quadratic form, so the estimate ignores any
     heavy-tailed radial component of the data.  Each sweep takes the
     quadratic forms from the blocked triangular inverse of a Cholesky
     factor of the current iterate, except a first sweep from the identity,
@@ -327,7 +342,7 @@ def tyler(panel, config: TylerConfig | None = None, *,
     combination, is dropped: the iteration resumes from the last plain
     sweep with an empty history, and keeps mixing.  A plain iterate (the
     start or a sweep) that is not positive definite raises
-    SingularMatrixError.
+    DegenerateDataError.
 
     The estimator assumes observations centered at zero and does not demean
     them.  Subtracting a plug-in mean first (``demean_rows``) gives every
@@ -345,11 +360,11 @@ def tyler(panel, config: TylerConfig | None = None, *,
     ``config.tol`` within ``config.max_iter`` sweeps (a rejected mixed
     iterate counts as one).
     """
-    cfg = config or TylerConfig()
+    cfg = _config("config", config, TylerConfig)
     panel = _check_panel(panel)
     m, n = panel.shape
     if n <= m:
-        raise InsufficientSamplesError(
+        raise ParameterError(
             f"need more observations than assets, got m={m}, N={n}")
     squares = _observation_squares(panel)
 
@@ -364,7 +379,7 @@ def tyler(panel, config: TylerConfig | None = None, *,
         try:
             update = _tyler_step(panel, current, work,
                                  first if sweeps == 1 else None)
-        except SingularMatrixError:
+        except DegenerateDataError:
             if not mixed:
                 raise
             # the extrapolation left the positive definite cone: resume
@@ -446,7 +461,7 @@ def _sym_sqrt(a: np.ndarray) -> np.ndarray:
 def inv_sqrt(scatter) -> np.ndarray:
     """Inverse symmetric square root of a positive definite matrix.
 
-    Raises SingularMatrixError on an eigenvalue that is not strictly
+    Raises DegenerateDataError on an eigenvalue that is not strictly
     positive, ParameterError on a matrix that is empty or not square and
     DegenerateDataError on a non-finite entry.
     """
@@ -456,6 +471,6 @@ def inv_sqrt(scatter) -> np.ndarray:
     sym = 0.5 * (values + values.T)
     eigvals, eigvecs = np.linalg.eigh(sym)
     if eigvals.min() <= 0.0:
-        raise SingularMatrixError(
+        raise DegenerateDataError(
             "matrix is singular or indefinite; cannot form inverse square root")
     return (eigvecs / np.sqrt(eigvals)) @ eigvecs.T

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from maxvariety import (BacktestConfig, DegenerateDataError, IngestionError,
-                        InsufficientSamplesError, NumericalError,
                         ParameterError, PricePanel, load_prices, perf_stats,
                         rolling_schedule, run_backtest, to_returns, turnover)
 
@@ -164,7 +163,8 @@ def test_rolling_schedule_exactly_one_period():
 
 
 def test_rolling_schedule_too_short():
-    with pytest.raises(InsufficientSamplesError, match="need at least 272"):
+    with pytest.raises(ParameterError, match="271 returns is too short: "
+                       "need at least 272"):
         rolling_schedule(271, 252, 20)
 
 
@@ -234,7 +234,8 @@ def test_perf_stats_ratio_value():
 
 
 def test_perf_stats_rejects_nonpositive_wealth():
-    with pytest.raises(NumericalError):
+    with pytest.raises(DegenerateDataError,
+                       match="^wealth series is not finite and positive$"):
         perf_stats([100.0, -5.0, 50.0])
 
 
@@ -251,7 +252,7 @@ def test_perf_stats_rejects_nonpositive_wealth():
 def test_perf_stats_refuses_what_is_not_finite(wealth, named):
     # raised before numpy warns: the test configuration makes a warning an
     # error
-    with pytest.raises(NumericalError, match=named):
+    with pytest.raises(DegenerateDataError, match=named):
         perf_stats(wealth)
 
 
@@ -288,7 +289,7 @@ def test_run_backtest_refuses_wealth_that_overflows():
     panel.prices *= 1e-300
     panel.prices[:, 57:] *= 1e300
     panel.prices[:, 59:] *= 1e300
-    with pytest.raises(NumericalError, match="wealth overflowed"):
+    with pytest.raises(DegenerateDataError, match="wealth overflowed"):
         run_backtest(panel, _small_config())
 
 
@@ -355,13 +356,15 @@ def test_run_backtest_robust_estimator_reports_orders():
 def test_run_backtest_robust_estimator_needs_wide_window():
     panel = _synthetic_prices(40, 90, seed=45)
     cfg = _small_config(estimator="rmt_tyler_whitened", window_days=30)
-    with pytest.raises(InsufficientSamplesError, match="window_days"):
+    with pytest.raises(ParameterError,
+                       match="needs window_days > asset count"):
         run_backtest(panel, cfg)
 
 
 def test_run_backtest_history_too_short():
     panel = _synthetic_prices(2, 20, seed=46)
-    with pytest.raises(InsufficientSamplesError):
+    with pytest.raises(ParameterError, match="history of 19 returns is too "
+                       "short"):
         run_backtest(panel, _small_config())
 
 
@@ -402,7 +405,8 @@ def test_run_backtest_refuses_benchmark_wealth_that_overflows():
     prices[3, 4:] = np.geomspace(1e-200, 1e200, 8)
     panel = PricePanel(dates=panel.dates, prices=prices, labels=panel.labels)
     cfg = _small_config(window_days=4, rebalance_days=1, benchmark="A003")
-    with pytest.raises(NumericalError, match="wealth series is not finite"):
+    with pytest.raises(DegenerateDataError,
+                       match="wealth series is not finite"):
         run_backtest(panel, cfg)
 
 

@@ -984,12 +984,9 @@ _EXIT_CODES = {
     errors.MaxVarietyError: (1, "error: "),
     errors.ParameterError: (1, "error: "),
     errors.UsageError: (1, "usage error: "),
-    errors.InsufficientSamplesError: (1, "error: "),
     errors.IngestionError: (2, "data error: "),
     errors.NumericalError: (3, "numerical error: "),
-    errors.SingularMatrixError: (3, "numerical error: "),
     errors.DegenerateDataError: (3, "numerical error: "),
-    errors.DegenerateSpectrumError: (3, "numerical error: "),
     errors.ConvergenceError: (3, "numerical error: "),
 }
 

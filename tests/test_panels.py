@@ -56,6 +56,13 @@ def test_repeated_label_names_both_rows():
     with pytest.raises(ParameterError) as caught:
         ReturnsPanel(np.zeros((3, 2)), labels=["A", "B", "A"])
     assert str(caught.value) == "label 'A' names return rows 0 and 2"
+    # labels and timestamps given as arrays are checked as lists are
+    with pytest.raises(ParameterError, match="names return rows 0 and 2"):
+        ReturnsPanel(np.zeros((3, 2)), labels=np.array(["A", "B", "A"]))
+    panel = ReturnsPanel(np.ones((2, 3)), labels=np.array(["a", "b"]),
+                         timestamps=np.array(["x", "y", "z"]))
+    assert list(panel.labels) == ["a", "b"]
+    assert list(panel.timestamps) == ["x", "y", "z"]
 
 
 def test_csv_round_trip_columns(tmp_path):

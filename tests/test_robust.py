@@ -12,8 +12,7 @@ import maxvariety.robust as robust
 
 from maxvariety import (CleanConfig, ConvergenceError, CovarianceInput,
                         DegenerateDataError, FactorModelSpec,
-                        InsufficientSamplesError, MaxVarietyError,
-                        ParameterError, ScatterMatrix, SingularMatrixError,
+                        MaxVarietyError, ParameterError, ScatterMatrix,
                         TylerConfig, clean_covariance, eigen_spectrum,
                         fixed_point_residual, gen_panel, gen_toeplitz_scatter,
                         inv_sqrt, mp_upper_bound, scm, toeplitzify, tyler)
@@ -35,7 +34,8 @@ def test_scm_single_column_outer_product():
 
 
 def test_scm_zero_panel_is_singular():
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(DegenerateDataError,
+                       match="sample covariance is identically zero"):
         scm(np.zeros((3, 10)))
 
 
@@ -110,7 +110,8 @@ def test_tyler_recovers_toeplitz_scatter():
 
 def test_tyler_needs_more_samples_than_assets():
     rng = np.random.default_rng(6)
-    with pytest.raises(InsufficientSamplesError):
+    with pytest.raises(ParameterError, match="need more observations than "
+                       "assets, got m=10, N=10"):
         tyler(rng.standard_normal((10, 10)))
 
 
@@ -256,7 +257,7 @@ def _counting_sweeps(monkeypatch, reject=()):
     def recorded(*args):
         calls.append(args[1].copy())
         if len(calls) in reject:
-            raise SingularMatrixError("scatter iterate lost positive "
+            raise DegenerateDataError("scatter iterate lost positive "
                                       "definiteness")
         return step(*args)
 
@@ -343,7 +344,8 @@ def test_tyler_failure_at_a_plain_iterate_raises(monkeypatch, reject):
     # rejected mixed sweep 3 falls back to
     returns = _noise_panel(20, 200, rho=0.6, nu=0.5, seed=13).returns
     _counting_sweeps(monkeypatch, reject=reject)
-    with pytest.raises(SingularMatrixError, match="positive definite"):
+    with pytest.raises(DegenerateDataError,
+                       match="scatter iterate lost positive definiteness"):
         tyler(returns)
 
 
@@ -420,7 +422,8 @@ def test_tyler_failure_at_the_plain_sweep_after_a_fallback_raises(
     returns = _noise_panel(20, 200, rho=0.6, nu=0.5, seed=13).returns
     monkeypatch.setattr(robust, "_MIX_BELOW", np.inf)
     _counting_sweeps(monkeypatch, reject={3, 4})
-    with pytest.raises(SingularMatrixError, match="positive definite"):
+    with pytest.raises(DegenerateDataError,
+                       match="scatter iterate lost positive definiteness"):
         tyler(returns)
 
 
@@ -468,7 +471,8 @@ def test_tyler_agrees_with_the_plain_loop_or_refuses(m, extra, k, seed,
 def test_fixed_point_residual_rejects_indefinite_scatter():
     rng = np.random.default_rng(9)
     panel = rng.standard_normal((5, 40))
-    with pytest.raises(SingularMatrixError, match="positive definite"):
+    with pytest.raises(DegenerateDataError,
+                       match="scatter iterate lost positive definiteness"):
         fixed_point_residual(panel, -np.eye(5))
 
 
@@ -598,7 +602,7 @@ def test_tyler_start_validation():
     nan_start[1, 2] = np.nan
     with pytest.raises(DegenerateDataError, match=r"start entry \(1, 2\)"):
         tyler(panel, start=nan_start)
-    with pytest.raises(SingularMatrixError, match="start is not positive"):
+    with pytest.raises(DegenerateDataError, match="start is not positive"):
         tyler(panel, start=np.diag([3.0, 2.0, 1.0, -1.0]))
 
 
@@ -789,17 +793,17 @@ def test_inv_sqrt_inverts_tiny_eigenvalues_and_refuses_zero():
     eigvals = np.array([1.0, 1.0, 1e-30])
     np.testing.assert_array_equal(inv_sqrt(np.diag(eigvals)),
                                   np.diag(1.0 / np.sqrt(eigvals)))
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(DegenerateDataError, match="singular or indefinite"):
         inv_sqrt(np.diag([1.0, 1.0, 0.0]))
 
 
 def test_inv_sqrt_all_zero_rejected():
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(DegenerateDataError, match="singular or indefinite"):
         inv_sqrt(np.zeros((3, 3)))
 
 
 def test_inv_sqrt_negative_semidefinite_rejected():
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(DegenerateDataError, match="singular or indefinite"):
         inv_sqrt(-np.eye(3))
 
 
