@@ -13,7 +13,8 @@ its fields give the section's keys, their flags and the nested sections.
 An ``--out`` that is, or lies below, an existing file is refused before any
 input is read.  Every output file is written to a temporary name and
 renamed into place, so partial outputs are never left behind.
-Identical inputs give byte-identical outputs; ``synth`` and ``mc-order``,
+Identical inputs give byte-identical outputs at a given BLAS thread count,
+and ``synth`` and ``backtest`` outputs at any; ``synth`` and ``mc-order``,
 the only subcommands that draw random numbers, take them from ``--seed``.
 
 ``main`` builds its argument parser once per process, on its first call,

@@ -1,23 +1,26 @@
 """Synthetic return panels: a low-rank factor part plus heavy-tailed noise.
 
-Each observation is ``r_t = B f_t + sqrt(tau_t) * C^{1/2} x_t`` where ``B``
-holds orthogonal factor loadings, ``f_t`` are standard normal factor scores,
-``tau_t`` is a positive texture drawn from a unit-mean Gamma law, ``C`` is an
-exponentially decaying Toeplitz scatter matrix, and ``x_t`` is uniform on the
-unit sphere.  The texture makes the noise heavy tailed (elliptical, not
-Gaussian) while leaving its scatter shape equal to ``C``.
+Each observation is ``r_t = B f_t + sqrt(tau_t) * L x_t`` where ``B`` holds
+orthogonal factor loadings, ``f_t`` are standard normal factor scores,
+``tau_t`` is a positive texture drawn from a unit-mean Gamma law, ``L`` is
+the Cholesky factor of an exponentially decaying Toeplitz scatter matrix
+``C = L L^T``, and ``x_t`` is uniform on the unit sphere.  The texture makes
+the noise heavy tailed (elliptical, not Gaussian) while leaving its scatter
+shape equal to ``C``.  Any square root of ``C`` gives the same law:
+``L = C^{1/2} Q`` for an orthogonal ``Q``, and ``Q x_t`` is uniform on the
+sphere when ``x_t`` is.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
 from .panels import ReturnsPanel
-from .robust import _count, _real, _sym_sqrt
+from .robust import _count, _real
 
 # numpy sizes an array in bytes by a signed intp: a float array with more
 # entries than this cannot be described, let alone allocated
@@ -83,10 +86,15 @@ def gen_toeplitz_scatter(m: int, rho: float) -> np.ndarray:
 
 
 def gen_texture(nu: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-mean Gamma textures with shape nu (variance 1/nu)."""
+    """Unit-mean Gamma textures with shape nu (variance 1/nu); ParameterError
+    naming ``nu`` if a tiny nu underflows a draw to zero (or NaN)."""
     nu = _real("nu", nu)
     _count("n", n, 1)
-    return rng.gamma(shape=nu, scale=1.0 / nu, size=n)
+    textures = rng.gamma(shape=nu, scale=1.0 / nu, size=n)
+    if not np.all(np.isfinite(textures) & (textures > 0.0)):
+        raise ParameterError(f"nu={nu!r} draws textures that are not finite "
+                             f"and positive")
+    return textures
 
 
 def gen_sphere_vector(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -99,34 +107,21 @@ def gen_sphere_vector(m: int, rng: np.random.Generator) -> np.ndarray:
             return g / norm
 
 
-@functools.lru_cache(maxsize=4)
-def _noise_root(m: int, rho: float) -> np.ndarray:
-    """``C^{1/2}`` of ``gen_toeplitz_scatter(m, rho)``, computed once per
-    ``(m, rho)`` and returned read-only, since every caller shares it."""
-    root = _sym_sqrt(gen_toeplitz_scatter(m, rho))
-    root.flags.writeable = False
-    return root
-
-
 def gen_panel(spec: FactorModelSpec) -> SyntheticPanel:
     """Draw a full synthetic panel for the given spec.
 
-    Deterministic for a fixed seed.  Draw order: loadings, factor scores,
-    textures, noise directions.  The noise root ``C^{1/2}`` depends only
-    on ``(m, rho)``, so it comes from a small cache of read-only arrays
-    (one eigendecomposition per ``(m, rho)`` in a process, not one per
-    panel); ``true_scatter`` is a fresh array for each panel.
+    Deterministic for a fixed seed at any BLAS thread count: no BLAS call
+    sums over the observations.  Draw order: loadings, factor scores,
+    textures, noise directions ``d``.  The Cholesky factor ``L`` of ``C``
+    colours them as the AR(1) recursion down the asset axis, ``x_0 = d_0``,
+    ``x_i = rho x_{i-1} + sqrt(1 - rho**2) d_i``.  Raises ParameterError
+    naming ``nu`` for a zero or NaN texture, and naming ``factor_snr`` when
+    a return is not finite.
     """
     rng = np.random.default_rng(spec.seed)
-    scatter = gen_toeplitz_scatter(spec.m, spec.rho)
-    scatter_half = _noise_root(spec.m, spec.rho)
-
-    if spec.K > 0:
-        raw = rng.standard_normal((spec.m, spec.K))
-        basis, _ = np.linalg.qr(raw)
-        loadings = spec.factor_snr * basis
-    else:
-        loadings = np.zeros((spec.m, 0))
+    # at K = 0 the m x 0 draw takes nothing from the stream
+    basis, _ = np.linalg.qr(rng.standard_normal((spec.m, spec.K)))
+    loadings = float(spec.factor_snr) * basis
     factors = rng.standard_normal((spec.K, spec.N))
     textures = gen_texture(spec.nu, spec.N, rng)
 
@@ -140,14 +135,22 @@ def gen_panel(spec: FactorModelSpec) -> SyntheticPanel:
     norms = np.sqrt(np.matmul(block[:, None, :], block[:, :, None]).ravel())
     for t in np.flatnonzero(norms == 0.0):
         block[t], norms[t] = gen_sphere_vector(spec.m, rng), 1.0
-    directions = np.divide(block.T, norms, out=np.empty((spec.m, spec.N)))
+    noise = np.divide(block.T, norms, out=np.empty((spec.m, spec.N)))
     del block  # each m x N intermediate goes once the next one is built
-    noise = scatter_half @ directions
-    del directions
+    rho = float(spec.rho)  # the spec keeps a rho as given, say a Fraction
+    if rho != 0.0:
+        noise[1:] *= math.sqrt(1.0 - rho * rho)
+        for i in range(1, spec.m):
+            noise[i] += rho * noise[i - 1]
     noise *= np.sqrt(textures)
     # ``loadings @ factors + noise`` in that order, for the same bits (the
     # product is zeros at K = 0 and turns a -0.0 to +0.0), over ``noise``
-    returns = np.add(loadings @ factors, noise, out=noise)
-    return SyntheticPanel(returns=returns, true_scatter=scatter,
+    with np.errstate(over="ignore"):
+        returns = np.add(loadings @ factors, noise, out=noise)
+    if not np.all(np.isfinite(returns)):
+        raise ParameterError(f"factor_snr={spec.factor_snr!r} is too large: "
+                             f"the returns overflow")
+    return SyntheticPanel(returns=returns,
+                          true_scatter=gen_toeplitz_scatter(spec.m, spec.rho),
                           true_loadings=loadings, textures=textures,
                           factors=factors)

@@ -6,11 +6,17 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maxvariety
 from maxvariety import (BacktestConfig, CleanConfig, FactorModelSpec,
                         UsageError, clean_covariance, demean_rows, gen_panel,
                         load_prices, load_returns_csv, mp_upper_bound,
@@ -98,6 +104,52 @@ def test_a_size_numpy_cannot_describe_is_refused(tmp_path, capsys, command,
     assert err.startswith(f"error: m={m}, N={n} is too large")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "mc-order"])
+@pytest.mark.parametrize("flags, message", [
+    # a texture of NaN (nu=1e-320) or exactly zero (nu=1e-300) passes the
+    # positive-and-finite rule of nu but leaves no usable observation
+    (["--nu", "1e-320"], "nu=1e-320 draws textures that are not finite"),
+    (["--nu", "1e-300"], "nu=1e-300 draws textures that are not finite"),
+    (["--K", "1", "--factor-snr", "1e308"],
+     "factor_snr=1e+308 is too large: the returns overflow"),
+    (["--K", "2", "--factor-snr", "1e308"],
+     "factor_snr=1e+308 is too large: the returns overflow")],
+    ids=["nan-textures", "zero-textures", "overflow-K1", "overflow-K2"])
+def test_a_spec_that_draws_a_degenerate_panel_is_refused(tmp_path, capsys,
+                                                         command, flags,
+                                                         message):
+    argv = [command, "--m", "3", "--N", "10", *flags,
+            "--out", str(tmp_path / "out")]
+    if command == "mc-order":
+        argv += ["--trials", "2"]
+    assert _run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # every sum the generator takes over observations is elementwise, so
+    # OpenBLAS's split of a product across threads cannot move a bit
+    paths = [str(Path(maxvariety.__file__).parent.parent),
+             os.environ.get("PYTHONPATH", "")]
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(paths))
+        run = subprocess.run(
+            [sys.executable, "-m", "maxvariety.cli", "synth", "--m", "100",
+             "--N", "1000", "--K", "3", "--rho", "0.8", "--nu", "0.5",
+             "--seed", "10001", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        digests.append([hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in ("returns.csv", "truth.json")])
+    assert digests[0] == digests[1]
 
 
 def test_synth_requires_m_and_n(tmp_path, capsys):
@@ -772,12 +824,12 @@ def test_mc_order_table(tmp_path, capsys):
             table[:, 2], np.bincount(raw_orders, minlength=table.shape[0]))
 
 
-# Tables written by the code that decomposed the noise scatter once per
-# panel and per clean; caching that work must not move a count.
+# Tables of panels whose noise is coloured by the AR(1) Cholesky
+# recursion; a change that keeps the draws must not move a count.
 _RECORDED_ORDER_TABLES = {
     ("0", "1.0"): "k_hat,scm,tyler_raw,tyler_whitened\r\n0,0,0,6\r\n"
-                  "1,0,0,0\r\n2,0,0,0\r\n3,0,0,0\r\n4,0,0,0\r\n"
-                  "5,5,5,0\r\n6,1,1,0\r\n",
+                  "1,0,0,0\r\n2,0,0,0\r\n3,0,0,0\r\n4,0,1,0\r\n"
+                  "5,6,3,0\r\n6,0,2,0\r\n",
     ("3", "0.6"): "k_hat,scm,tyler_raw,tyler_whitened\r\n0,0,0,0\r\n"
                   "1,0,0,0\r\n2,0,0,0\r\n3,2,6,6\r\n4,3,0,0\r\n"
                   "5,1,0,0\r\n",
@@ -795,13 +847,13 @@ def test_mc_order_table_bytes_are_unchanged(tmp_path, k, snr):
             == _RECORDED_ORDER_TABLES[k, snr].encode())
 
 
-# The benchmark's fixed block of order-null trials, written by the code
-# that inverted each sweep's Cholesky factor with one LU solve; at m=100
-# the sweeps and the whitener take the blocked triangular inverse.
+# The benchmark's fixed block of order-null trials; at m=100 the sweeps
+# and the whitener take the blocked triangular inverse, so a change to it
+# that moves a count shows here.
 _RECORDED_M100_ORDER_TABLE = (
     "k_hat,scm,tyler_raw,tyler_whitened\r\n0,0,0,40\r\n"
     + "".join(f"{k},0,0,0\r\n" for k in range(1, 14))
-    + "14,11,3,0\r\n15,25,31,0\r\n16,4,6,0\r\n")
+    + "14,8,3,0\r\n15,27,32,0\r\n16,5,5,0\r\n")
 
 
 def test_mc_order_table_bytes_at_m100_are_unchanged(tmp_path):

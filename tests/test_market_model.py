@@ -8,7 +8,6 @@ import pytest
 import maxvariety.market_model as market_model
 from maxvariety import (FactorModelSpec, ParameterError, gen_panel,
                         gen_sphere_vector, gen_texture, gen_toeplitz_scatter)
-from maxvariety.robust import _sym_sqrt
 
 
 def test_toeplitz_scatter_small_cases():
@@ -54,6 +53,10 @@ def test_texture_rejects_bad_shape():
     rng = np.random.default_rng(0)
     for nu in (0.0, float("inf"), float("nan")):
         with pytest.raises(ParameterError):
+            gen_texture(nu, 10, rng)
+    # in range, but the draws underflow to NaN (1 / nu overflows) or zero
+    for nu in (1e-320, 1e-300):
+        with pytest.raises(ParameterError, match=f"^nu={nu!r} draws"):
             gen_texture(nu, 10, rng)
 
 
@@ -137,8 +140,20 @@ def test_gen_panel_covariance_shrinks_toward_scatter():
     assert errors[1] < errors[0]
 
 
+def _colour(rho, d):
+    # the AR(1) recursion down the asset axis: x_0 = d_0,
+    # x_i = rho x_{i-1} + sqrt(1 - rho**2) d_i
+    x = d.copy()
+    if rho != 0.0:
+        innovation = np.sqrt(1.0 - rho * rho)
+        for i in range(1, len(x)):
+            x[i] = innovation * x[i] + rho * x[i - 1]
+    return x
+
+
 def _loop_gen_panel_returns(spec):
-    # reference: the generator drawing one sphere vector per observation
+    # reference: the generator drawing and colouring one sphere vector per
+    # observation
     rng = np.random.default_rng(spec.seed)
     if spec.K > 0:
         basis, _ = np.linalg.qr(rng.standard_normal((spec.m, spec.K)))
@@ -147,52 +162,48 @@ def _loop_gen_panel_returns(spec):
         loadings = np.zeros((spec.m, 0))
     factors = rng.standard_normal((spec.K, spec.N))
     textures = gen_texture(spec.nu, spec.N, rng)
-    directions = np.empty((spec.m, spec.N))
+    noise = np.empty((spec.m, spec.N))
     for t in range(spec.N):
-        directions[:, t] = gen_sphere_vector(spec.m, rng)
-    half = _sym_sqrt(gen_toeplitz_scatter(spec.m, spec.rho))
-    noise = np.sqrt(textures)[None, :] * (half @ directions)
-    return loadings @ factors + noise
+        noise[:, t] = _colour(spec.rho, gen_sphere_vector(spec.m, rng))
+    return loadings @ factors + np.sqrt(textures)[None, :] * noise
 
 
-@pytest.mark.parametrize("m, n, k, seed", [
-    (1, 30, 0, 0), (2, 7, 1, 4), (15, 200, 3, 9), (40, 295, 0, 10001),
-    (100, 1000, 0, 10000), (100, 1000, 3, 10002)])
-def test_gen_panel_is_bit_identical_to_per_observation_draws(m, n, k, seed):
-    spec = FactorModelSpec(m=m, N=n, K=k, rho=0.8, nu=0.5, factor_snr=10.0,
+# (m, N, K, rho, seed); the last eleven take rho in {0, 0.3, 0.5, 0.8, 0.9}
+# (at 0 the colouring is skipped) and m from 3 to 40
+@pytest.mark.parametrize("m, n, k, rho, seed", [
+    (1, 30, 0, 0.8, 0), (2, 7, 1, 0.8, 4), (15, 200, 3, 0.8, 9),
+    (40, 295, 0, 0.8, 10001), (100, 1000, 0, 0.8, 10000),
+    (100, 1000, 3, 0.8, 10002),
+    (15, 60, 0, 0.8, 0), (7, 60, 1, 0.3, 1), (15, 60, 2, 0.8, 2),
+    (40, 60, 0, 0.5, 3), (7, 60, 1, 0.3, 4), (3, 60, 2, 0.0, 5),
+    (22, 60, 0, 0.9, 6), (15, 60, 1, 0.8, 7), (40, 60, 2, 0.5, 8),
+    (7, 60, 0, 0.3, 9), (15, 60, 1, 0.8, 10)])
+def test_gen_panel_is_bit_identical_to_per_observation_draws(m, n, k, rho,
+                                                             seed):
+    spec = FactorModelSpec(m=m, N=n, K=k, rho=rho, nu=0.5, factor_snr=10.0,
                            seed=seed)
     np.testing.assert_array_equal(gen_panel(spec).returns,
                                   _loop_gen_panel_returns(spec))
 
 
-def test_gen_panel_stays_bit_identical_as_the_noise_root_cache_turns_over():
-    # five (m, rho) keys against a cache of four, visited so that hits,
-    # misses and evictions alternate
-    market_model._noise_root.cache_clear()
-    keys = [(15, 0.8), (7, 0.3), (15, 0.8), (40, 0.5), (7, 0.3), (3, 0.0),
-            (22, 0.9), (15, 0.8), (40, 0.5), (7, 0.3), (15, 0.8)]
-    for seed, (m, rho) in enumerate(keys):
-        spec = FactorModelSpec(m=m, N=60, K=seed % 3,
-                               rho=rho, nu=0.5, seed=seed)
-        np.testing.assert_array_equal(gen_panel(spec).returns,
-                                      _loop_gen_panel_returns(spec))
-    info = market_model._noise_root.cache_info()
-    assert info.hits > 0 and info.misses > 5
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.8, 0.99])
+@pytest.mark.parametrize("m", [1, 2, 40])
+def test_noise_colouring_applies_the_cholesky_factor_of_the_scatter(m, rho):
+    # positive directions, so no entry of either product is a cancellation
+    d = np.random.default_rng(m).uniform(0.5, 1.0, (m, 30))
+    chol = np.linalg.cholesky(gen_toeplitz_scatter(m, rho))
+    np.testing.assert_allclose(_colour(rho, d), chol @ d, rtol=1e-12)
 
 
-def test_gen_panel_decomposes_the_noise_scatter_once_per_m_rho(monkeypatch):
-    market_model._noise_root.cache_clear()
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda a: calls.append(a.shape) or eigh(a))
-    panels = [gen_panel(FactorModelSpec(m=20, N=50, K=0, rho=0.5, seed=seed))
-              for seed in range(8)]
-    assert calls == [(20, 20)]
-    root = market_model._noise_root(20, 0.5)
-    with pytest.raises(ValueError):
-        root[0, 0] = 1.0
-    # each panel still owns its true scatter
+def test_gen_panel_calls_no_eigh_or_cholesky(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("gen_panel decomposed a matrix")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    panels = [gen_panel(FactorModelSpec(m=20, N=50, K=2, rho=0.5, seed=seed))
+              for seed in range(2)]
+    # each panel owns its true scatter
     panels[0].true_scatter[0, 1] = 7.0
     assert panels[1].true_scatter[0, 1] == 0.5
 

@@ -1,12 +1,14 @@
 """Every scalar setting refuses a value of the wrong type or range with a
-ParameterError that names it, and takes numpy scalars as Python ones; every
-settings object of the wrong class is refused naming the argument."""
+ParameterError that names it, and takes numpy scalars as Python ones and a
+Fraction as a float; every settings object of the wrong class is refused
+naming the argument."""
 
 from __future__ import annotations
 
 import dataclasses
 import datetime
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,6 +129,13 @@ def test_a_numpy_scalar_setting_runs_as_the_python_one(where):
     _, run, value, _ = _SETTINGS[where]
     kind = np.int64 if isinstance(value, int) else np.float64
     np.testing.assert_array_equal(run(kind(value)), run(value))
+
+
+@pytest.mark.parametrize("where", [
+    where for where, (*_, rule) in _SETTINGS.items() if rule != "integer"])
+def test_a_fraction_setting_runs_as_the_float(where):
+    _, run, value, _ = _SETTINGS[where]
+    np.testing.assert_array_equal(run(Fraction(value)), run(value))
 
 
 def test_demean_must_be_a_bool():
