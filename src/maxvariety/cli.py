@@ -360,9 +360,16 @@ def cmd_mc_order(args) -> None:
         raise UsageError("mc-order needs --trials (or config mc_order.trials)")
     _count("trials", trials, 1)
 
-    triples = [_order_counts(dataclasses.replace(spec, seed=spec.seed + i),
-                             clean_cfg)
-               for i in range(trials)]
+    triples = []
+    for i in range(trials):
+        seed = spec.seed + i
+        try:
+            triples.append(_order_counts(
+                dataclasses.replace(spec, seed=seed), clean_cfg))
+        except MaxVarietyError as exc:
+            # same class, so the exit code is unchanged
+            exc.args = (f"{exc} (trial {i + 1} of {trials}, seed {seed})",)
+            raise
 
     columns = ("scm", "tyler_raw", "tyler_whitened")
     top = max(max(triple) for triple in triples)

@@ -131,6 +131,18 @@ def test_a_spec_that_draws_a_degenerate_panel_is_refused(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_mc_order_names_the_trial_whose_spec_is_refused(tmp_path, capsys):
+    # at m=10, nu=0.01 the textures of seed 10004 underflow; seeds
+    # 10000-10003 draw
+    out = tmp_path / "out"
+    assert _run("mc-order", "--m", "10", "--N", "1000", "--nu", "0.01",
+                "--trials", "5", "--seed", "10000", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: nu=0.01 draws textures that are not finite and "
+                   "positive (trial 5 of 5, seed 10004)\n")
+    assert not out.exists()
+
+
 def test_synth_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # every sum the generator takes over observations is elementwise, so
     # OpenBLAS's split of a product across threads cannot move a bit

@@ -273,7 +273,7 @@ def test_clean_covariance_whitens_small_noise_eigenvalues_unfloored(monkeypatch)
     eigvals = np.linalg.eigvalsh(noise)
     assert eigvals[0] < 0.5 * eigvals.mean()
     report = clean_covariance(panel, CleanConfig(demean=False))
-    assert report.to_dict()["warnings"] == []
+    assert "warnings" not in report.to_dict()
     sigma = report.denoised
     np.testing.assert_array_equal(sigma, sigma.T)
     assert np.linalg.eigvalsh(sigma).min() > 0.0
@@ -302,23 +302,32 @@ def test_clean_covariance_whitens_a_first_pass_below_the_certificate():
 
 @pytest.mark.parametrize("k", [0, 3])
 def test_clean_covariance_second_pass_is_one_sweep(monkeypatch, k):
-    # pass 2 starts at the whitened pass-1 estimate, its fixed point by
-    # affine equivariance, so a single sweep certifies it
+    # pass 2 re-sweeps pass 1's panel from pass 1's estimate, so a single
+    # sweep certifies it; by affine equivariance the whitened result is
+    # Tyler's estimate of the whitened panel, which is never formed
     panel = gen_panel(FactorModelSpec(m=40, N=400, K=k, rho=0.8, nu=0.5,
                                       factor_snr=10.0, seed=k)).returns
     sweeps, passes = [], []
     step = robust._tyler_step
     monkeypatch.setattr(robust, "_tyler_step",
                         lambda *args: sweeps.append(1) or step(*args))
-    monkeypatch.setattr(
-        denoise, "tyler",
-        lambda work, *args, **kw: passes.append((work, len(sweeps)))
-        or tyler(work, *args, **kw))
+
+    def counted(work, *args, **kw):
+        before = len(sweeps)
+        fit = tyler(work, *args, **kw)
+        passes.append((work, kw.get("start"), before, fit))
+        return fit
+
+    monkeypatch.setattr(denoise, "tyler", counted)
     report = clean_covariance(panel, CleanConfig(demean=False))
     assert len(passes) == 2
-    whitened, before_pass2 = passes[1]
+    (work1, _, _, first), (work2, start, before_pass2, _) = passes
+    assert work2 is work1
+    assert start is first.values
     assert len(sweeps) - before_pass2 == 1
-    want = np.linalg.eigvalsh(tyler(whitened).values)[::-1]
+    noise = toeplitzify(first.values)
+    whitener = np.linalg.inv(np.linalg.cholesky(noise * (40 / np.trace(noise))))
+    want = np.linalg.eigvalsh(tyler(whitener @ panel).values)[::-1]
     np.testing.assert_allclose(report.spectrum.eigenvalues, want, rtol=1e-6)
 
 
@@ -345,7 +354,7 @@ def test_cleaning_report_to_dict():
     assert d["k_hat"] == report.k_hat
     assert d["threshold"] == report.threshold
     assert len(d["eigenvalues"]) == 10
-    assert isinstance(d["warnings"], list)
+    assert "warnings" not in d
 
 
 def test_eigenvalue_histogram_csv(tmp_path):
