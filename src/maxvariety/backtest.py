@@ -69,7 +69,7 @@ class PerfStats:
     max_drawdown: float
 
 
-def perf_stats(wealth, annualization_days: int = 252) -> PerfStats:
+def perf_stats(wealth, annualization_days: float = 252) -> PerfStats:
     """Annualized return and volatility, their ratio, and max drawdown.
 
     The ratio is ``None`` (serialized as null) when volatility is zero.  A
@@ -116,7 +116,7 @@ class BacktestConfig:
     window_days: int = 252
     rebalance_days: int = 20
     estimator: str = "scm"
-    annualization_days: int = 252
+    annualization_days: float = 252
     benchmark: str | None = None
     clean: CleanConfig = CleanConfig()
     optimizer: OptimizerConfig = OptimizerConfig()

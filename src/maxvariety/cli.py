@@ -38,8 +38,8 @@ import numpy as np
 
 from .allocation import OptimizerConfig, optimize_variety
 from .backtest import ESTIMATORS, BacktestConfig, BacktestResult, run_backtest
-from .denoise import (CleanConfig, clean_covariance, mp_upper_bound,
-                      save_eigenvalue_histogram, select_order)
+from .denoise import (CleanConfig, clean_covariance, save_eigenvalue_histogram,
+                      select_order)
 from .errors import MaxVarietyError, UsageError
 from .market_model import FactorModelSpec, gen_panel
 from .panels import (MISSING_POLICIES, _float_cells, _write_csv, load_prices,
@@ -182,38 +182,36 @@ def _out_dir(args) -> Path:
 
 
 def _build(section: str, config: dict, args):
-    """The dataclass of ``section``, built after its nested sections."""
+    """The dataclass of ``section``, built after its nested sections.
+
+    A field with no default that neither a flag nor the config sets is
+    refused with a UsageError naming the section and those fields.
+    """
     cls = _SECTIONS[section]
+    fields = dataclasses.fields(cls)
     nested = {f.name: _build(f.name, config, args)
-              for f in dataclasses.fields(cls) if f.name in _SECTIONS}
-    return cls(**nested, **_settings(config, section, args))
-
-
-def _model_spec(config: dict, args) -> FactorModelSpec:
-    body = _settings(config, "synth", args)
-    missing = {"m", "N"} - set(body)
+              for f in fields if f.name in _SECTIONS}
+    given = {**nested, **_settings(config, section, args)}
+    missing = [f.name for f in fields
+               if f.default is dataclasses.MISSING and f.name not in given]
     if missing:
-        raise UsageError(
-            f"synthetic spec needs {sorted(missing)} (flag or config)")
-    return FactorModelSpec(**body)
+        raise UsageError(f"section {section!r} needs {', '.join(missing)} "
+                         f"(flag or config)")
+    return cls(**given)
 
 
 def cmd_synth(args) -> None:
     """Draw a synthetic panel; write returns.csv and truth.json."""
     config = _load_config(args.config)
-    spec = _model_spec(config, args)
+    spec = _build("synth", config, args)
     panel = gen_panel(spec)
     out = _out_dir(args)
     returns_panel = panel.to_returns_panel()
     _atomic_via(out / "returns.csv",
                 lambda tmp: save_returns_csv(returns_panel, tmp))
-    truth = {
-        "spec": dataclasses.asdict(spec),
-        "true_scatter": panel.true_scatter.tolist(),
-        "true_loadings": panel.true_loadings.tolist(),
-        "textures": panel.textures.tolist(),
-        "factors": panel.factors.tolist(),
-    }
+    truth = {f.name: getattr(panel, f.name).tolist()
+             for f in dataclasses.fields(panel) if f.name != "returns"}
+    truth["spec"] = dataclasses.asdict(spec)
     _atomic_write_json(out / "truth.json", truth)
     print(f"wrote {out / 'returns.csv'} and {out / 'truth.json'} "
           f"(m={spec.m}, N={spec.N}, K={spec.K})")
@@ -334,19 +332,17 @@ def cmd_backtest(args) -> None:
 
 
 def _order_counts(spec: FactorModelSpec, clean_cfg: CleanConfig) -> tuple[int, int, int]:
-    """Model orders selected on one panel by SCM, raw Tyler, and the pipeline."""
-    panel = gen_panel(spec)
-    returns = panel.returns
-    lam = mp_upper_bound(spec.m / spec.N)
-
+    """Model orders selected on one panel by SCM and raw Tyler, both at the
+    pipeline's bulk edge, and by the pipeline."""
+    returns = gen_panel(spec).returns
     cov = scm(returns, demean=clean_cfg.demean).values
     cov_eigs = np.linalg.eigvalsh(cov)
-    scm_k = select_order(cov_eigs / cov_eigs.mean(), lam)
 
     # the pipeline's first pass is the raw Tyler estimate, so reuse it
     report = clean_covariance(returns, clean_cfg)
+    scm_k = select_order(cov_eigs / cov_eigs.mean(), report.lambda_bar)
     tyler_k = select_order(np.linalg.eigvalsh(report.robust_scatter.values),
-                           lam)
+                           report.lambda_bar)
     return scm_k, tyler_k, report.k_hat
 
 
@@ -354,7 +350,7 @@ def cmd_mc_order(args) -> None:
     """Tally selected model orders over seeded trials; write a CSV table."""
     config = _load_config(args.config)
     clean_cfg = _build("clean", config, args)
-    spec = _model_spec(config, args)
+    spec = _build("synth", config, args)
     trials = _settings(config, "mc_order", args).get("trials")
     if trials is None:
         raise UsageError("mc-order needs --trials (or config mc_order.trials)")

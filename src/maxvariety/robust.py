@@ -116,11 +116,14 @@ def _check_squares(squares: np.ndarray, what: str) -> None:
 
 def _observation_squares(panel: np.ndarray) -> np.ndarray:
     """Each observation's sum of squares; DegenerateDataError names the
-    first observation that is all zero or whose sum overflows."""
+    first observation whose sum is 0.0 (all zero, or too small to square)
+    or overflows."""
     squares = np.einsum("ij,ij->j", panel, panel)
     dead = np.flatnonzero(squares == 0.0)
     if dead.size:
-        raise DegenerateDataError(f"observation {dead[0]} is identically zero")
+        raise DegenerateDataError(f"observation {dead[0]} is " + (
+            "too small: its sum of squares underflows"
+            if panel[:, dead[0]].any() else "identically zero"))
     _check_squares(squares, "observation")
     return squares
 
@@ -353,12 +356,12 @@ def tyler(panel, config: TylerConfig | None = None, *,
     well away from zero.
 
     Requires strictly more observations than assets, finite entries (a
-    non-finite one raises DegenerateDataError naming it), no all-zero
-    observation and none whose sum of squares overflows (both raise
-    DegenerateDataError naming the first).  Raises ConvergenceError,
-    carrying the last plain sweep and its residual, if no sweep met
-    ``config.tol`` within ``config.max_iter`` sweeps (a rejected mixed
-    iterate counts as one).
+    non-finite one raises DegenerateDataError naming it), and no
+    observation whose sum of squares is zero (all zero, or underflowing)
+    or overflows (each raises DegenerateDataError naming the first).
+    Raises ConvergenceError, carrying the last plain sweep and its
+    residual, if no sweep met ``config.tol`` within ``config.max_iter``
+    sweeps (a rejected mixed iterate counts as one).
     """
     cfg = _config("config", config, TylerConfig)
     panel = _check_panel(panel)

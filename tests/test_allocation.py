@@ -71,6 +71,15 @@ def test_variety_ratio_at_least_one_on_simplex():
 def test_variety_ratio_rejects_zero_variance():
     with pytest.raises(DegenerateDataError):
         variety_ratio([0.5, 0.5], np.diag([1.0, 0.0]))
+    # both assets have unit volatility, but the portfolio has none
+    with pytest.raises(DegenerateDataError,
+                       match="portfolio variance 0.0 is not positive"):
+        variety_ratio([0.5, 0.5], [[1.0, -1.0], [-1.0, 1.0]])
+
+
+def test_variety_ratio_needs_one_weight_per_asset():
+    with pytest.raises(ParameterError, match="2 weights for 3 assets"):
+        variety_ratio([0.5, 0.5], np.eye(3))
 
 
 # ---------------------------------------------------------------- projection
@@ -690,6 +699,8 @@ def test_covariance_input_rejects_asymmetry():
 
 def test_weight_vector_validate():
     WeightVector(np.array([0.25, 0.75])).validate()
+    with pytest.raises(ParameterError, match="weights must be a vector"):
+        WeightVector(np.full((2, 2), 0.25))
     with pytest.raises(ParameterError):
         WeightVector(np.array([0.7, 0.7])).validate()
     with pytest.raises(ParameterError):

@@ -66,6 +66,8 @@ def test_load_prices_forward_fill(tmp_path):
     np.testing.assert_array_equal(panel.prices, [[100.0, 100.0, 102.0],
                                                  [50.0, 49.5, 49.5]])
     assert panel.fill_counts == {"AAA": 1, "BBB": 1}
+    with pytest.raises(ParameterError, match="unknown missing policy 'bogus'"):
+        load_prices(path, missing_policy="bogus")
 
 
 def test_load_prices_leading_gap_always_fails(tmp_path):
@@ -282,14 +284,20 @@ def test_run_backtest_single_asset_holds_everything():
     np.testing.assert_allclose(result.wealth, 100.0 * relative)
 
 
-def test_run_backtest_refuses_wealth_that_overflows():
+@pytest.mark.parametrize(("scales", "message"), [
     # two jumps of 1e300 in the last holding period (price dates 56-60),
     # on an asset priced near 1e-298, which no estimation window sees
+    ((1e-300, 1e300, 1e300), "portfolio wealth overflowed a float"),
+    # a fall there from about 100 to 1e-298: the return rounds to -1
+    ((1.0, 1e-300, 1.0), "portfolio wealth hit zero"),
+])
+def test_run_backtest_refuses_wealth_that_leaves_the_float_range(scales,
+                                                                message):
     panel = _synthetic_prices(1, 61, seed=41)
-    panel.prices *= 1e-300
-    panel.prices[:, 57:] *= 1e300
-    panel.prices[:, 59:] *= 1e300
-    with pytest.raises(DegenerateDataError, match="wealth overflowed"):
+    panel.prices *= scales[0]
+    panel.prices[:, 57:] *= scales[1]
+    panel.prices[:, 59:] *= scales[2]
+    with pytest.raises(DegenerateDataError, match=message):
         run_backtest(panel, _small_config())
 
 

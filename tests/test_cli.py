@@ -6,17 +6,11 @@ import argparse
 import csv
 import dataclasses
 import datetime
-import hashlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import maxvariety
 from maxvariety import (BacktestConfig, CleanConfig, FactorModelSpec,
                         UsageError, clean_covariance, demean_rows, gen_panel,
                         load_prices, load_returns_csv, mp_upper_bound,
@@ -143,31 +137,13 @@ def test_mc_order_names_the_trial_whose_spec_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_synth_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # every sum the generator takes over observations is elementwise, so
-    # OpenBLAS's split of a product across threads cannot move a bit
-    paths = [str(Path(maxvariety.__file__).parent.parent),
-             os.environ.get("PYTHONPATH", "")]
-    digests = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads-{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(paths))
-        run = subprocess.run(
-            [sys.executable, "-m", "maxvariety.cli", "synth", "--m", "100",
-             "--N", "1000", "--K", "3", "--rho", "0.8", "--nu", "0.5",
-             "--seed", "10001", "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
-        digests.append([hashlib.sha256((out / name).read_bytes()).hexdigest()
-                        for name in ("returns.csv", "truth.json")])
-    assert digests[0] == digests[1]
-
-
-def test_synth_requires_m_and_n(tmp_path, capsys):
-    code = _run("synth", "--out", str(tmp_path))
+@pytest.mark.parametrize("command", ["synth", "mc-order"])
+def test_synth_requires_m_and_n(tmp_path, capsys, command):
+    trials = ["--trials", "1"] if command == "mc-order" else []
+    code = _run(command, *trials, "--out", str(tmp_path))
     assert code == 1
-    assert "synthetic spec needs" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "usage error: section 'synth' needs m, N (flag or config)\n")
 
 
 def test_synth_reads_config_file(tmp_path):
@@ -278,13 +254,22 @@ def test_a_config_integer_past_the_digit_limit_is_usage_error(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
-def test_malformed_config_rejected(tmp_path, capsys):
+@pytest.mark.parametrize(("text", "message"), [
+    ("{not json", "is not valid JSON"),
+    ("[1, 2]", "must hold a JSON object"),
+    ('{"tyler": 5}', "section 'tyler' must be an object"),
+    (None, "cannot read config file"),  # the path is a directory
+])
+def test_malformed_config_rejected(tmp_path, capsys, text, message):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("{not json")
+    if text is None:
+        cfg.mkdir()
+    else:
+        cfg.write_text(text)
     code = _run("synth", "--m", "4", "--N", "20",
                 "--config", str(cfg), "--out", str(tmp_path))
     assert code == 1
-    assert "not valid JSON" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 class _Handed(Exception):
@@ -925,7 +910,7 @@ _CLI_SURFACE = {
                  **_CLEAN_FLAGS},
     "backtest": {**_COMMON_FLAGS, "--prices": "str", "--estimator": "str",
                  "--compare": "_StoreTrueAction", "--window-days": "int",
-                 "--rebalance-days": "int", "--annualization-days": "int",
+                 "--rebalance-days": "int", "--annualization-days": "float",
                  "--missing-policy": "str", "--benchmark": "str",
                  **_CLEAN_FLAGS},
     "mc-order": {**_COMMON_FLAGS, "--trials": "int", **_SYNTH_FLAGS,
@@ -973,14 +958,17 @@ def test_failed_json_write_leaves_no_temporary_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
 
-def test_synth_out_is_an_existing_file_is_usage_error(tmp_path, capsys):
+# an existing file, or a name too long for mkdir (ENAMETOOLONG)
+@pytest.mark.parametrize("name", ["taken", "x" * 300])
+def test_synth_out_that_cannot_be_made_is_usage_error(tmp_path, capsys, name):
     taken = tmp_path / "taken"
     taken.write_text("keep me\n")
-    code = _run("synth", "--m", "3", "--N", "5", "--out", str(taken))
+    out = tmp_path / name
+    code = _run("synth", "--m", "3", "--N", "5", "--out", str(out))
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: cannot create output directory")
-    assert str(taken) in err
+    assert str(out) in err
     assert taken.read_text() == "keep me\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 

@@ -217,8 +217,9 @@ def test_backtest_on_built_price_panels_raises_maxvariety_errors(
 def test_backtest_refusals_exit_with_their_codes(tmp_path, capsys, m, t,
                                                  seed, data, days):
     # a price file load_prices accepts, perhaps with an overflowing jump;
-    # an annualization_days past the float range is refused first (the
-    # config is read before the prices), then the jump, as a data error
+    # an annualization_days past the float range reads as inf and is
+    # refused first (the config is read before the prices), then the jump,
+    # as a data error
     prices = 100.0 * np.exp(np.cumsum(
         0.05 * np.random.default_rng(seed).standard_normal((m, t)), axis=1))
     _jump(data.draw, prices)
@@ -238,7 +239,8 @@ def test_backtest_refusals_exit_with_their_codes(tmp_path, capsys, m, t,
     jumps = np.argwhere((prices.T[:-1] == 1e-200) & (prices.T[1:] == 1e200))
     if days is not None and days > 10**308:
         assert code == 1, err
-        assert err == "error: annualization_days is too large for a float\n"
+        assert err == ("error: annualization_days must be >= 1 and finite, "
+                       "got inf\n")
     elif jumps.size:
         assert code == 2, err
         day, asset = jumps[0]

@@ -44,7 +44,9 @@ def test_default_labels_and_timestamps():
     assert panel.timestamps == ["0", "1", "2", "3"]
 
 
-def test_label_count_must_match():
+def test_panel_shape_and_label_counts_must_match():
+    with pytest.raises(ParameterError, match="must be a 2-d array"):
+        ReturnsPanel(np.zeros(3))
     with pytest.raises(ParameterError):
         ReturnsPanel(np.zeros((2, 3)), labels=["only-one"])
     with pytest.raises(ParameterError):

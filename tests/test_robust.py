@@ -39,9 +39,11 @@ def test_scm_zero_panel_is_singular():
         scm(np.zeros((3, 10)))
 
 
-def test_scm_empty_panel_rejected():
-    with pytest.raises(ParameterError):
-        scm(np.zeros((3, 0)))
+@pytest.mark.parametrize("estimate", [scm, tyler])
+def test_a_panel_without_observations_is_rejected(estimate):
+    for panel in (np.zeros((3, 0)), np.zeros(3)):
+        with pytest.raises(ParameterError):
+            estimate(panel)
 
 
 def test_scm_gaussian_consistency():
@@ -476,14 +478,27 @@ def test_fixed_point_residual_rejects_indefinite_scatter():
         fixed_point_residual(panel, -np.eye(5))
 
 
+@pytest.mark.parametrize(("scale", "message"), [
+    (0.0, "observation 7 is identically zero"),
+    (1e-200, "observation 7 is too small: its sum of squares underflows")])
 @pytest.mark.parametrize("estimate", [
     tyler, lambda x: fixed_point_residual(x, np.eye(4))])
-def test_an_all_zero_observation_is_named(estimate):
+def test_an_observation_whose_sum_of_squares_is_zero_is_named(
+        estimate, scale, message):
     panel = np.random.default_rng(9).standard_normal((4, 40))
-    panel[:, 7] = 0.0
-    with pytest.raises(DegenerateDataError,
-                       match="observation 7 is identically zero"):
+    panel[:, 7] *= scale
+    with pytest.raises(DegenerateDataError, match=message):
         estimate(panel)
+
+
+def test_a_quadratic_form_that_underflows_is_refused():
+    # observation 5's sum of squares is subnormal, so sweep 1 runs, but its
+    # quadratic form at a later iterate underflows to zero
+    panel = np.random.default_rng(2).standard_normal((3, 12))
+    panel[:, 5] *= 1.2e-162
+    with pytest.raises(DegenerateDataError,
+                       match="scatter iterate lost positive definiteness"):
+        tyler(panel)
 
 
 def test_fixed_point_residual_rejects_a_scatter_of_another_size():
