@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateDataError, ParameterError
-from .robust import _config, _real, _square
+from .robust import _config, _floats, _real, _square
 
 # ``WeightVector.validate``'s rounding slack on [0, 1] and on a sum of 1
 _SIMPLEX_TOL = 1e-8
@@ -65,7 +65,7 @@ class WeightVector:
     steps: int = field(default=0, compare=False)
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
+        self.weights = _floats(self.weights, "weights")
         if self.weights.ndim != 1:
             raise ParameterError("weights must be a vector")
         bad = np.flatnonzero(~np.isfinite(self.weights))

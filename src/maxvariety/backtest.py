@@ -18,7 +18,7 @@ from .allocation import OptimizerConfig, _as_weights, optimize_variety
 from .denoise import CleanConfig, clean_covariance
 from .errors import DegenerateDataError, MaxVarietyError, ParameterError
 from .panels import PricePanel, to_returns
-from .robust import _config, _count, _real, scm
+from .robust import _config, _count, _floats, _real, scm
 
 ESTIMATORS = ("scm", "rmt_tyler_whitened")
 
@@ -77,7 +77,7 @@ def perf_stats(wealth, annualization_days: float = 252) -> PerfStats:
     does a return, volatility or ratio that overflows (naming it);
     ``annualization_days`` below 1 or past the float range, ParameterError.
     """
-    series = np.asarray(wealth, dtype=float)
+    series = _floats(wealth, "wealth series")
     if series.ndim != 1 or series.size < 2:
         raise ParameterError("wealth series needs at least two points")
     days = _real("annualization_days", annualization_days, 1.0,

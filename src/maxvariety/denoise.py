@@ -27,7 +27,7 @@ from .errors import DegenerateDataError, ParameterError
 from .panels import _float_cells, _write_csv
 from .robust import (ScatterMatrix, TylerConfig, demean_rows, toeplitzify,
                      tyler, _check_panel, _check_squares, _config, _count,
-                     _real, _square, _tri_inv)
+                     _floats, _real, _square, _tri_inv)
 # ``inv_sqrt`` is unused here but stays bound: the benchmark's trace hooks
 # ``maxvariety.denoise.inv_sqrt`` and its tests require every hook target
 # to exist.
@@ -66,9 +66,9 @@ def eigen_spectrum(matrix) -> EigenSpectrum:
 def _eigenvalues(spectrum, what: str) -> np.ndarray:
     """``spectrum`` (or an EigenSpectrum's eigenvalues) as a float vector;
     raises ParameterError unless it is 1-d and finite."""
-    eigvals = np.asarray(spectrum.eigenvalues
-                         if isinstance(spectrum, EigenSpectrum) else spectrum,
-                         dtype=float)
+    eigvals = _floats(spectrum.eigenvalues
+                      if isinstance(spectrum, EigenSpectrum) else spectrum,
+                      f"{what} eigenvalues")
     if eigvals.ndim != 1 or not np.isfinite(eigvals).all():
         raise ParameterError(f"{what} expects a vector of finite eigenvalues")
     return eigvals
@@ -240,7 +240,7 @@ def clean_covariance(panel, config: CleanConfig | None = None) -> CleaningReport
 
     with np.errstate(over="ignore"):
         sample_var = np.var(panel, axis=1, ddof=1)
-    _check_squares(sample_var, "asset")
+    _check_squares(sample_var)
     flat = np.flatnonzero(sample_var == 0.0)
     if flat.size:
         raise DegenerateDataError(
@@ -281,7 +281,7 @@ def save_eigenvalue_histogram(eigenvalues, path) -> None:
     An eigenvalue that is not finite and strictly positive raises
     ParameterError.
     """
-    eigvals = np.asarray(eigenvalues, dtype=float).ravel()
+    eigvals = _floats(eigenvalues, "eigenvalues").ravel()
     if eigvals.size == 0:
         raise ParameterError("no eigenvalues to histogram")
     if not np.all((eigvals > 0.0) & (eigvals < np.inf)):

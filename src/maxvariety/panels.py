@@ -20,13 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IngestionError, ParameterError
+from .robust import _check_panel
 
 
 @dataclass
 class ReturnsPanel:
     """Asset returns, one row per asset and one column per observation.
 
-    Labels must be distinct: a repeated one raises ParameterError naming
+    The values are checked as an estimator's panel is (``_rows``), and
+    labels must be distinct: a repeated one raises ParameterError naming
     both rows.
     """
 
@@ -47,13 +49,13 @@ class ReturnsPanel:
 
 
 def _rows(values, labels, stamps, kind: str, what: str) -> np.ndarray:
-    """``values`` as a row-major 2-d float array with one distinct label per
-    ``kind`` row and one ``what`` stamp per column (None: not checked)."""
+    """``values`` as a row-major float panel that ``robust._check_panel``
+    accepts (2-d, an asset and an observation, finite entries), with one
+    distinct label per ``kind`` row and one ``what`` stamp per column
+    (None: not checked)."""
     # row-major whatever the source (a CSV parse gives the transpose): Tyler
     # sweeps run on it, and equal values give equal bytes downstream
-    values = np.ascontiguousarray(values, dtype=float)
-    if values.ndim != 2:
-        raise ParameterError(f"{kind}s panel must be a 2-d array")
+    values = np.ascontiguousarray(_check_panel(values))
     m, n = values.shape
     if labels is not None and len(labels) != m:
         raise ParameterError(f"{len(labels)} labels for {m} assets")
@@ -221,10 +223,12 @@ MISSING_POLICIES = ("error", "forward_fill")
 @dataclass
 class PricePanel:
     """Dated price history, one row per asset and one column per date,
-    stored row-major like a :class:`ReturnsPanel`.
+    stored row-major and checked like a :class:`ReturnsPanel`.
 
     Labels must be distinct: a repeated one raises ParameterError naming
-    both rows.
+    both rows.  Dates must be strictly increasing ``datetime.date`` values
+    and prices positive; ParameterError names the first offending date
+    index, or the ``(asset, date)`` of the price.
     """
 
     dates: list[datetime.date]
@@ -235,6 +239,17 @@ class PricePanel:
     def __post_init__(self):
         self.prices = _rows(self.prices, self.labels, self.dates, "price",
                             "dates")
+        for t, day in enumerate(self.dates):
+            if type(day) is not datetime.date:
+                raise ParameterError(f"date {t} is not a datetime.date: "
+                                     f"{day!r}")
+            if t and day <= self.dates[t - 1]:
+                raise ParameterError(f"date {t} ({day}) is not after date "
+                                     f"{t - 1} ({self.dates[t - 1]})")
+        if not (self.prices > 0.0).all():
+            asset, t = np.argwhere(self.prices <= 0.0)[0]
+            raise ParameterError(f"price (asset {asset}, date {t}) is not "
+                                 f"positive: {float(self.prices[asset, t])!r}")
 
 
 def load_prices(path, missing_policy: str = "error") -> PricePanel:
@@ -251,10 +266,11 @@ def load_prices(path, missing_policy: str = "error") -> PricePanel:
     lines, plain = _read_csv(path, "price", key=datetime.date.fromisoformat)
     if plain is not None:
         header, dates, cells = plain
-        if ((cells > 0.0).all()
-                and all(a < b for a, b in zip(dates, dates[1:]))):
-            labels = _labels(header, path)
+        labels = _labels(header, path)
+        try:  # a date out of order or a price <= 0: the row walk names it
             return PricePanel(dates, cells.T, labels, dict.fromkeys(labels, 0))
+        except ParameterError:
+            pass
     rows = _csv_rows(lines, path)
     if not rows or len(rows[0]) < 2:
         raise IngestionError(f"{path}: missing header row with asset labels")

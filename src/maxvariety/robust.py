@@ -4,9 +4,10 @@ Provides the sample covariance, a distribution-free fixed-point M-estimator
 of scatter, rectification of an estimate toward Toeplitz structure, and an
 inverse symmetric square root.  The fixed point and the cleaning pipeline's
 whitener invert Cholesky factors with a private blocked triangular inverse.
-Each argument rule has one check: ``_square``, ``_check_panel``, ``_count``
-(an integer with a lower bound), ``_real`` (a real number in a range, as a
-float) and ``_config`` (a settings object of its class).
+Each argument rule has one check: ``_floats`` (an array argument as floats),
+``_square``, ``_check_panel``, ``_count`` (an integer with a lower bound),
+``_real`` (a real number in a range, as a float) and ``_config`` (a
+settings object of its class); ``_tyler_step`` judges each observation.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ def _square(matrix, what: str, size: int | None = None) -> np.ndarray:
     """``matrix`` (or a ScatterMatrix's values) as a float array; raises
     ParameterError unless it is square (``size`` x ``size`` if given),
     DegenerateDataError naming its first non-finite entry."""
-    values = np.asarray(matrix.values if isinstance(matrix, ScatterMatrix)
-                        else matrix, dtype=float)
+    values = _floats(matrix.values if isinstance(matrix, ScatterMatrix)
+                     else matrix, what)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ParameterError(f"{what} must be a square matrix")
     if size is not None and len(values) != size:
@@ -53,6 +54,18 @@ def _square(matrix, what: str, size: int | None = None) -> np.ndarray:
         raise DegenerateDataError(f"{what} entry ({row}, {col}) is not "
                                   f"finite: {float(values[row, col])!r}")
     return values
+
+
+def _floats(value, what: str) -> np.ndarray:
+    """``value`` as a float array; ParameterError ``<what> must hold real
+    numbers`` for text, a ragged nesting or a complex number (numpy would
+    drop the imaginary part of a complex array)."""
+    try:
+        if not np.iscomplexobj(value):
+            return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    raise ParameterError(f"{what} must hold real numbers")
 
 
 def _count(name: str, value, low: int) -> None:
@@ -91,9 +104,14 @@ def _config(name: str, value, kind: type, *, nested: bool = False):
 
 
 def _check_panel(panel) -> np.ndarray:
-    panel = np.asarray(panel, dtype=float)
+    """``panel`` as a float array; ParameterError unless it is 2-d with an
+    asset and an observation, DegenerateDataError naming its first
+    non-finite entry."""
+    panel = _floats(panel, "panel")
     if panel.ndim != 2:
         raise ParameterError("panel must be a 2-d array (assets x samples)")
+    if panel.shape[0] < 1:
+        raise ParameterError("panel has no assets")
     if panel.shape[1] < 1:
         raise ParameterError("panel has no observations")
     finite = np.isfinite(panel)
@@ -105,27 +123,13 @@ def _check_panel(panel) -> np.ndarray:
     return panel
 
 
-def _check_squares(squares: np.ndarray, what: str) -> None:
-    """Raise DegenerateDataError naming the first ``what`` (asset or
-    observation) whose sum of squares overflowed to infinity."""
+def _check_squares(squares: np.ndarray) -> None:
+    """Raise DegenerateDataError naming the first asset whose sum of
+    squares overflowed to infinity."""
     over = np.flatnonzero(squares == np.inf)
     if over.size:
         raise DegenerateDataError(
-            f"the sum of squares of {what} {over[0]} overflows")
-
-
-def _observation_squares(panel: np.ndarray) -> np.ndarray:
-    """Each observation's sum of squares; DegenerateDataError names the
-    first observation whose sum is 0.0 (all zero, or too small to square)
-    or overflows."""
-    squares = np.einsum("ij,ij->j", panel, panel)
-    dead = np.flatnonzero(squares == 0.0)
-    if dead.size:
-        raise DegenerateDataError(f"observation {dead[0]} is " + (
-            "too small: its sum of squares underflows"
-            if panel[:, dead[0]].any() else "identically zero"))
-    _check_squares(squares, "observation")
-    return squares
+            f"the sum of squares of asset {over[0]} overflows")
 
 
 def demean_rows(panel: np.ndarray) -> np.ndarray:
@@ -147,7 +151,7 @@ def scm(panel, demean: bool = False) -> ScatterMatrix:
     n = panel.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         cov = panel @ panel.T
-    _check_squares(np.diagonal(cov), "asset")
+    _check_squares(np.diagonal(cov))
     cov /= n
     if not np.any(cov):
         raise DegenerateDataError("sample covariance is identically zero")
@@ -211,7 +215,8 @@ def _tyler_step(panel: np.ndarray, current: np.ndarray, work=None,
     many times passes to every sweep.  ``quad``, when given, holds those
     N norms already and the sweep skips the factor and the product: at
     ``current = I`` they are the samples' sums of squares, and the sweep is
-    bit-identical to the factored one.
+    bit-identical to the factored one.  Each norm must be a normal positive
+    float: DegenerateDataError names the first observation whose is not.
     """
     m, n = panel.shape
     if quad is None:
@@ -222,9 +227,14 @@ def _tyler_step(panel: np.ndarray, current: np.ndarray, work=None,
                 "scatter iterate lost positive definiteness") from exc
         work = np.matmul(_tri_inv(factor), panel, out=work)
         quad = np.einsum("ij,ij->j", work, work)
-    if not np.all(quad > 0.0):
-        raise DegenerateDataError(
-            "scatter iterate lost positive definiteness")
+    tiny = np.finfo(float).tiny
+    usable = (quad >= tiny) & (quad < np.inf)
+    if not usable.all():
+        t = np.argmin(usable)
+        raise DegenerateDataError(f"observation {t} is " + (
+            "identically zero" if not panel[:, t].any()
+            else "too small: its quadratic form underflows" if quad[t] < tiny
+            else "too large: its quadratic form overflows"))
     scaled = np.divide(panel, np.sqrt(quad), out=work)
     # numpy's syrk for ``x @ x.T`` mirrors a triangle: exactly symmetric
     update = scaled @ scaled.T
@@ -325,9 +335,9 @@ def tyler(panel, config: TylerConfig | None = None, *,
     heavy-tailed radial component of the data.  Each sweep takes the
     quadratic forms from the blocked triangular inverse of a Cholesky
     factor of the current iterate, except a first sweep from the identity,
-    which reads them off the observations' sums of squares (computed once,
-    also to find an all-zero or overflowing observation); all sweeps of one
-    call share one m x N workspace.
+    which reads them off the observations' sums of squares (a call with
+    ``start`` computes none); all sweeps of one call share one m x N
+    workspace.
 
     The iteration takes plain sweeps ``C <- G(C)`` until the first sweep
     whose relative residual ``|G(C) - C| / |C|`` (Frobenius) is below
@@ -340,12 +350,11 @@ def tyler(panel, config: TylerConfig | None = None, *,
     iteration returns the plain sweep ``G(C)`` once its relative residual
     is below ``config.tol``, so the result is certified as a plain
     fixed-point loop's is, and it records the number of sweeps taken and
-    that residual in ``sweeps`` and ``residual``.  A mixed iterate that is
-    not positive definite, or a history too collinear to solve for the
+    that residual in ``sweeps`` and ``residual``.  A mixed iterate whose
+    sweep is refused, or a history too collinear to solve for the
     combination, is dropped: the iteration resumes from the last plain
     sweep with an empty history, and keeps mixing.  A plain iterate (the
-    start or a sweep) that is not positive definite raises
-    DegenerateDataError.
+    start or a sweep) whose sweep is refused raises DegenerateDataError.
 
     The estimator assumes observations centered at zero and does not demean
     them.  Subtracting a plug-in mean first (``demean_rows``) gives every
@@ -355,10 +364,11 @@ def tyler(panel, config: TylerConfig | None = None, *,
     per-asset means are believed material and whose observation norms stay
     well away from zero.
 
-    Requires strictly more observations than assets, finite entries (a
-    non-finite one raises DegenerateDataError naming it), and no
-    observation whose sum of squares is zero (all zero, or underflowing)
-    or overflows (each raises DegenerateDataError naming the first).
+    Requires assets, strictly more observations than assets, finite
+    entries (a non-finite one raises DegenerateDataError naming it), and
+    at every sweep a normal positive quadratic form of each observation
+    (DegenerateDataError names the first that is identically zero, too
+    small or too large: its quadratic form underflows or overflows).
     Raises ConvergenceError, carrying the last plain sweep and its
     residual, if no sweep met ``config.tol`` within ``config.max_iter``
     sweeps (a rejected mixed iterate counts as one).
@@ -369,11 +379,9 @@ def tyler(panel, config: TylerConfig | None = None, *,
     if n <= m:
         raise ParameterError(
             f"need more observations than assets, got m={m}, N={n}")
-    squares = _observation_squares(panel)
-
-    # a sweep from the identity takes its quadratic forms from ``squares``
-    current, first = ((np.eye(m), squares) if start is None
-                      else (_check_start(start, m), None))
+    # from the identity, sweep 1's quadratic forms are the sums of squares
+    current, first = ((np.eye(m), np.einsum("ij,ij->j", panel, panel))
+                      if start is None else (_check_start(start, m), None))
     work = np.empty((m, n))
     history = _Anderson(m * m)
     plain, mixing, mixed = None, False, False
@@ -414,11 +422,11 @@ def tyler(panel, config: TylerConfig | None = None, *,
 def fixed_point_residual(panel, scatter) -> float:
     """Relative Frobenius defect of the scatter fixed-point equation.
 
-    The panel is checked as in ``tyler``; a scatter that is not m x m or
-    not finite raises ParameterError or DegenerateDataError naming why.
+    The panel is checked as in ``tyler``, its observations by the sweep at
+    ``scatter``; a scatter that is not m x m or not finite raises
+    ParameterError or DegenerateDataError naming why.
     """
     panel = _check_panel(panel)
-    _observation_squares(panel)
     values = _square(scatter, "scatter", len(panel))
     # the defect is scale-free; at unit scale its norms cannot under- or
     # overflow

@@ -121,17 +121,55 @@ def test_load_prices_missing_file():
 # ---------------------------------------------------------------- returns
 
 
-def test_price_panel_rejects_a_repeated_label():
-    # a benchmark named by a repeated label would drop every column it
-    # names from the assets and track only the first
+def _spoiled_price_panel(spoil):
     prices = 100.0 + np.arange(12.0).reshape(3, 4)
     dates = [datetime.date(2024, 1, d) for d in range(2, 6)]
-    with pytest.raises(ParameterError) as caught:
-        PricePanel(dates, prices, ["A", "B", "A"])
-    assert str(caught.value) == "label 'A' names price rows 0 and 2"
-    # labels given as an array are checked as a list is
-    with pytest.raises(ParameterError, match="names price rows 0 and 2"):
-        PricePanel(dates, prices, np.array(["A", "B", "A"]))
+    labels = ["A", "B", "C"]
+    if spoil == "repeated label":
+        labels[2] = "A"
+    elif spoil == "label array":
+        labels = np.array(["A", "B", "A"])
+    elif spoil == "text date":
+        dates[2] = "2024-01-04"
+    elif spoil == "datetime":
+        dates[1] = datetime.datetime(2024, 1, 3)
+    elif spoil == "reversed":
+        dates.reverse()
+    elif spoil == "repeated date":
+        dates[3] = dates[2]
+    elif spoil == "nan":
+        prices[1, 2] = np.nan
+    else:
+        prices[1, 2] = float(spoil)
+    return dates, prices, labels
+
+
+@pytest.mark.parametrize("spoil, error, message", [
+    # a benchmark named by a repeated label would drop every column it
+    # names from the assets and track only the first; labels given as an
+    # array are checked as a list is
+    ("repeated label", ParameterError, "^label 'A' names price rows 0 and 2$"),
+    ("label array", ParameterError, "names price rows 0 and 2$"),
+    # refused where the panel is built, not later by to_returns (a raw
+    # AttributeError on a text date) or by a backtest
+    ("text date", ParameterError,
+     "^date 2 is not a datetime.date: '2024-01-04'$"),
+    ("datetime", ParameterError, r"^date 1 is not a datetime.date: "),
+    ("reversed", ParameterError,
+     r"^date 1 \(2024-01-04\) is not after date 0 \(2024-01-05\)$"),
+    ("repeated date", ParameterError,
+     r"^date 3 \(2024-01-04\) is not after date 2 \(2024-01-04\)$"),
+    ("-1.0", ParameterError,
+     r"^price \(asset 1, date 2\) is not positive: -1.0$"),
+    ("0.0", ParameterError,
+     r"^price \(asset 1, date 2\) is not positive: 0.0$"),
+    # built in code, so not an IngestionError (a data-file error)
+    ("nan", DegenerateDataError,
+     r"^panel entry \(asset 1, observation 2\) is not finite: nan$")])
+def test_price_panel_refuses_bad_labels_dates_and_prices(spoil, error,
+                                                         message):
+    with pytest.raises(error, match=message):
+        PricePanel(*_spoiled_price_panel(spoil))
 
 
 def test_to_returns_fixture():

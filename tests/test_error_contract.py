@@ -9,13 +9,16 @@ and, with panels of their size or one more and some all-zero
 observations, to ``fixed_point_residual``; those calls must also return
 finite numbers and raise no numpy warning.  Price files with a price
 ratio that overflows, or an ``annualization_days`` past the float range,
-go through ``cli.main``, which must exit with the refusal's code.
+go through ``cli.main``, which must exit with the refusal's code.  Text,
+a ragged nesting or a complex number given where an array is taken is
+refused with a ParameterError.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import datetime
+import os
 
 import numpy as np
 import pytest
@@ -24,7 +27,8 @@ from hypothesis.extra.numpy import arrays
 
 import maxvariety.cli as cli
 from maxvariety import (BacktestConfig, CleanConfig, MaxVarietyError,
-                        PricePanel, ScatterMatrix, clean_covariance,
+                        ParameterError, PricePanel, ReturnsPanel,
+                        ScatterMatrix, WeightVector, clean_covariance,
                         clip_spectrum, eigen_spectrum, fixed_point_residual,
                         inv_sqrt, load_prices, load_returns_csv,
                         optimize_variety, perf_stats, run_backtest,
@@ -306,3 +310,18 @@ def test_fixed_point_residual_returns_finite_or_raises_maxvariety_errors(
         (cov.shape[0] + extra, n))
     panel[:, [j for j in dead if j < n]] = 0.0
     _finite_or_refused(lambda: fixed_point_residual(panel, cov))
+
+
+@pytest.mark.parametrize("value", [
+    "abc", [[1.0, 2.0], [3.0]], [1 + 2j, 3.0], np.array([1 + 2j, 3.0])],
+    ids=["text", "ragged", "complex", "complex array"])
+@pytest.mark.parametrize("call", [
+    tyler, scm, clean_covariance, toeplitzify, optimize_variety,
+    WeightVector, perf_stats, lambda x: select_order(x, 1.0), ReturnsPanel,
+    lambda x: save_eigenvalue_histogram(x, os.devnull)],
+    ids=["tyler", "scm", "clean_covariance", "toeplitzify",
+         "optimize_variety", "WeightVector", "perf_stats", "select_order",
+         "ReturnsPanel", "save_eigenvalue_histogram"])
+def test_an_array_argument_that_is_not_real_numbers_is_refused(call, value):
+    with pytest.raises(ParameterError, match="must hold real numbers$"):
+        call(value)

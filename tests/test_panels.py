@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import maxvariety
-from maxvariety import (IngestionError, ParameterError, ReturnsPanel,
-                        load_returns_csv, panels, save_returns_csv)
+from maxvariety import (DegenerateDataError, IngestionError, ParameterError,
+                        ReturnsPanel, load_returns_csv, panels,
+                        save_returns_csv)
 
 
 def test_only_panels_imports_csv():
@@ -47,6 +48,17 @@ def test_default_labels_and_timestamps():
 def test_panel_shape_and_label_counts_must_match():
     with pytest.raises(ParameterError, match="must be a 2-d array"):
         ReturnsPanel(np.zeros(3))
+    # a panel built in code is checked as an estimator checks its panel
+    with pytest.raises(ParameterError, match="^panel has no assets$"):
+        ReturnsPanel(np.zeros((0, 3)))
+    with pytest.raises(ParameterError, match="^panel has no observations$"):
+        ReturnsPanel(np.zeros((2, 0)))
+    values = np.zeros((2, 3))
+    values[1, 2] = np.nan
+    # save_returns_csv would write a nan that load_returns_csv refuses
+    with pytest.raises(DegenerateDataError,
+                       match=r"\(asset 1, observation 2\) is not finite"):
+        ReturnsPanel(values)
     with pytest.raises(ParameterError):
         ReturnsPanel(np.zeros((2, 3)), labels=["only-one"])
     with pytest.raises(ParameterError):

@@ -46,6 +46,14 @@ def test_a_panel_without_observations_is_rejected(estimate):
             estimate(panel)
 
 
+@pytest.mark.parametrize("estimate", [
+    scm, tyler, clean_covariance,
+    lambda x: fixed_point_residual(x, np.eye(0))])
+def test_a_panel_without_assets_is_rejected(estimate):
+    with pytest.raises(ParameterError, match="^panel has no assets$"):
+        estimate(np.zeros((0, 5)))
+
+
 def test_scm_gaussian_consistency():
     # colored Gaussian draws; spectral error farther than sqrt(m/N) would flag
     # a broken estimator
@@ -480,7 +488,7 @@ def test_fixed_point_residual_rejects_indefinite_scatter():
 
 @pytest.mark.parametrize(("scale", "message"), [
     (0.0, "observation 7 is identically zero"),
-    (1e-200, "observation 7 is too small: its sum of squares underflows")])
+    (1e-200, "observation 7 is too small: its quadratic form underflows")])
 @pytest.mark.parametrize("estimate", [
     tyler, lambda x: fixed_point_residual(x, np.eye(4))])
 def test_an_observation_whose_sum_of_squares_is_zero_is_named(
@@ -491,14 +499,36 @@ def test_an_observation_whose_sum_of_squares_is_zero_is_named(
         estimate(panel)
 
 
-def test_a_quadratic_form_that_underflows_is_refused():
-    # observation 5's sum of squares is subnormal, so sweep 1 runs, but its
-    # quadratic form at a later iterate underflows to zero
-    panel = np.random.default_rng(2).standard_normal((3, 12))
-    panel[:, 5] *= 1.2e-162
+@pytest.mark.parametrize("seed, scale, message", [
+    # sums of squares that are normal floats, but quadratic forms at a later
+    # iterate that overflow: the estimate would be 0.099 and 0.138 off
+    (7, 1e154, "too large: its quadratic form overflows"),
+    (12, 5e153, "too large: its quadratic form overflows"),
+    # subnormal sums of squares, which have lost digits: refused at the
+    # first sweep, though the last one's form only reaches zero later
+    (9, 1e-158, "too small: its quadratic form underflows"),
+    (9, 1.1e-160, "too small: its quadratic form underflows"),
+    (2, 1.2e-162, "too small: its quadratic form underflows")])
+def test_a_quadratic_form_out_of_the_normal_range_is_refused(seed, scale,
+                                                            message):
+    panel = np.random.default_rng(seed).standard_normal((3, 12))
+    panel[:, 5] *= scale
     with pytest.raises(DegenerateDataError,
-                       match="scatter iterate lost positive definiteness"):
+                       match=f"^observation 5 is {message}$"):
         tyler(panel)
+
+
+@pytest.mark.parametrize("power", [-400, -100, 100, 400])
+def test_scaling_an_observation_by_a_power_of_two_leaves_tyler_unchanged(
+        power):
+    # the estimate ignores each observation's scale; a power of two scales
+    # every quadratic form exactly, so the sweeps are bit-identical
+    panel = np.random.default_rng(9).standard_normal((3, 12))
+    want = tyler(panel).values
+    for t in range(panel.shape[1]):
+        scaled = panel.copy()
+        scaled[:, t] *= 2.0 ** power
+        assert np.array_equal(tyler(scaled).values, want)
 
 
 def test_fixed_point_residual_rejects_a_scatter_of_another_size():
@@ -602,9 +632,10 @@ def _overflowing(what, index):
 def test_overflowing_sums_of_squares_are_named(estimate, what, index,
                                                 named):
     # raised before numpy warns: the test configuration makes a warning
-    # an error
-    with pytest.raises(DegenerateDataError,
-                       match=f"sum of squares of {named} overflows"):
+    # an error; an observation is judged by its quadratic form
+    with pytest.raises(DegenerateDataError, match=(
+            f"sum of squares of {named} overflows" if "asset" in named
+            else f"{named} is too large: its quadratic form overflows")):
         estimate(_overflowing(what, index))
 
 
